@@ -20,6 +20,12 @@ const char* kernel_name(Kernel k) {
   return "unknown";
 }
 
+Kernel kernel_from_string(const std::string& name) {
+  for (const Kernel k : {Kernel::Auto, Kernel::Dense, Kernel::Banded, Kernel::Sparse})
+    if (name == kernel_name(k)) return k;
+  throw InvalidParameter("unknown kernel '" + name + "' (auto|dense|banded|sparse)");
+}
+
 // ---------------------------------------------------------------------------
 // Compression
 // ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -47,6 +48,8 @@ enum class Kernel { Auto, Dense, Banded, Sparse };
 
 /// Lower-case kernel name ("auto", "dense", "banded", "sparse").
 const char* kernel_name(Kernel k);
+/// Inverse of kernel_name; throws InvalidParameter for any other name.
+Kernel kernel_from_string(const std::string& name);
 
 /// Triplet (COO) accumulator for MNA stamping. `add` appends; duplicates are
 /// summed at compression time in insertion order, matching the accumulation

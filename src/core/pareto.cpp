@@ -1105,6 +1105,9 @@ ParetoFront funnel_explore(const SystemParams& sys, const FunnelSpec& spec,
         keys[i] = sim_key(ctx, ctx.plans[pi], pt.design);
         const auto it = cache.map.find(keys[i]);
         if (it != cache.map.end()) {
+          // A memo hit is a simulated survivor too, so the report does not
+          // depend on what earlier calls left in the cache.
+          merged.record_survivor();
           ++cache.hits;
           ++out.stats.sim_cache_hits;
           pt.simulated = true;

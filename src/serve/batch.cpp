@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <thread>
 
@@ -36,27 +35,7 @@ BatchSummary run_batch(std::istream& in, std::ostream& out, Service& service,
       std::string bytes;
       while (dq.next(bytes)) out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     });
-    for (const std::string& line : lines) {
-      const TransportDirective d = classify_line(line);
-      if (d.is_cancel) {
-        const bool hit = scheduler.cancel(client, d.cancel_id);
-        std::string resp = "{\"id\":";
-        resp += d.id.write();
-        resp += ",\"ok\":true,\"result\":{\"cancelled\":";
-        resp += hit ? "true" : "false";
-        resp += "}}\n";
-        dq.open_plain()->set(std::move(resp));
-        continue;
-      }
-      if (d.is_stream) {
-        scheduler.submit_stream(client, line, dq.open_stream());
-        continue;
-      }
-      std::shared_ptr<DeliveryQueue::Plain> slot = dq.open_plain();
-      scheduler.submit(client, line, [slot](const std::string& response) {
-        slot->set(response + "\n");
-      });
-    }
+    for (const std::string& line : lines) scheduler.dispatch(client, line, dq);
     scheduler.drain();
     scheduler.close_client(client);
     dq.close_submit();

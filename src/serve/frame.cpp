@@ -154,12 +154,6 @@ void StreamEmitter::chunk(std::string_view payload) {
   ++chunks_;
 }
 
-void StreamEmitter::chunk_split(std::string_view text) {
-  if (text.empty()) return;
-  for (std::size_t off = 0; off < text.size(); off += chunk_bytes_)
-    chunk(text.substr(off, std::min(chunk_bytes_, text.size() - off)));
-}
-
 void StreamEmitter::end(std::string_view payload) {
   emit(FrameType::End, payload, /*terminal=*/true);
 }

@@ -15,8 +15,8 @@
 //
 // This header also holds the two endpoints of the stream machinery:
 //
-//   StreamEmitter   — producer side. Wraps a write function, slices payloads
-//                     into bounded CHUNKs, and converts cancel/deadline/
+//   StreamEmitter   — producer side. Wraps a write function, emits frames
+//                     under a chunk budget, and converts cancel/deadline/
 //                     consumer-gone conditions into StreamEmitter::Abort so
 //                     the evaluation unwinds mid-waveform.
 //   FrameDecoder    — consumer side. Incremental pull parser; throws
@@ -46,8 +46,8 @@ inline constexpr std::string_view kStreamMagic = "ivorystream1";
 inline constexpr std::size_t kMaxFramePayload = 16u << 20;  // 16 MiB
 
 enum class FrameType : std::uint8_t {
-  Header = 1,     ///< JSON: {"id":...,"encoding":...[,"columns":...,"has_time":...]}
-  Chunk = 2,      ///< encoding-dependent body bytes (JSON text or wave1 blocks)
+  Header = 1,     ///< JSON: {"id":...,"encoding":"wave1","columns":...,"has_time":...}
+  Chunk = 2,      ///< one wave1 block
   End = 3,        ///< JSON status, terminal: {"id":...,"status":"ok",...}
   Error = 4,      ///< the exact non-streaming error envelope line, terminal
   CancelAck = 5,  ///< JSON: {"id":...,"status":"cancelled"}, terminal
@@ -137,8 +137,6 @@ class StreamEmitter {
   /// One CHUNK frame carrying `payload` verbatim (wave1 blocks size
   /// themselves to the chunk budget before calling this).
   void chunk(std::string_view payload);
-  /// Slices `text` into chunk_bytes()-sized CHUNK frames (JSON encoding).
-  void chunk_split(std::string_view text);
   void end(std::string_view payload);
   void error(std::string_view payload);
   void cancel_ack(std::string_view payload);

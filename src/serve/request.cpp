@@ -1,113 +1,90 @@
 #include "serve/request.hpp"
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/hash.hpp"
+#include "common/sparse.hpp"
 #include "spice/parser.hpp"
 #include "tech/tech.hpp"
 
 namespace ivory::serve {
 
-namespace {
+FieldReader::FieldReader(const json::Value& body, std::string context)
+    : obj_(&body.as_object()), ctx_(std::move(context)), used_(obj_->size(), false) {}
 
-/// Strict reader over a request body: every field access marks the member
-/// consumed, and finish() rejects any member the schema never asked for —
-/// catching typos ("cflyy") instead of silently applying a default.
-class FieldReader {
- public:
-  FieldReader(const json::Value& body, std::string context)
-      : obj_(&body.as_object()), ctx_(std::move(context)), used_(obj_->size(), false) {}
+void FieldReader::fail(std::string_view field, const std::string& what) const {
+  throw SchemaError(ctx_ + ": field '" + std::string(field) + "': " + what);
+}
 
-  [[noreturn]] void fail(std::string_view field, const std::string& what) const {
-    throw InvalidParameter(ctx_ + ": field '" + std::string(field) + "': " + what);
-  }
-
-  const json::Value* get(std::string_view key) {
-    for (std::size_t i = 0; i < obj_->size(); ++i)
-      if ((*obj_)[i].first == key) {
-        used_[i] = true;
-        return &(*obj_)[i].second;
-      }
-    return nullptr;
-  }
-
-  bool has(std::string_view key) const {
-    for (const auto& m : *obj_)
-      if (m.first == key) return true;
-    return false;
-  }
-
-  /// Numbers are JSON numbers or SPICE-suffixed strings ("4u", "80meg").
-  double num(std::string_view key, double fallback) {
-    const json::Value* v = get(key);
-    if (!v) return fallback;
-    if (v->is_number()) return v->as_number();
-    if (v->is_string()) {
-      try {
-        return spice::parse_spice_value(v->as_string());
-      } catch (const std::exception& e) {
-        fail(key, std::string("bad SPICE-suffixed value: ") + e.what());
-      }
+const json::Value* FieldReader::get(std::string_view key) {
+  for (std::size_t i = 0; i < obj_->size(); ++i)
+    if ((*obj_)[i].first == key) {
+      used_[i] = true;
+      return &(*obj_)[i].second;
     }
-    fail(key, "expected a number or a SPICE-suffixed string");
-  }
-
-  int integer(std::string_view key, int fallback) {
-    const double d = num(key, static_cast<double>(fallback));
-    if (std::nearbyint(d) != d || d < std::numeric_limits<int>::min() ||
-        d > std::numeric_limits<int>::max())
-      fail(key, "expected an integer");
-    return static_cast<int>(d);
-  }
-
-  std::string str(std::string_view key, std::string fallback) {
-    const json::Value* v = get(key);
-    if (!v) return fallback;
-    if (!v->is_string()) fail(key, "expected a string");
-    return v->as_string();
-  }
-
-  bool boolean(std::string_view key, bool fallback) {
-    const json::Value* v = get(key);
-    if (!v) return fallback;
-    if (!v->is_bool()) fail(key, "expected true or false");
-    return v->as_bool();
-  }
-
-  /// Rejects members no schema field consumed.
-  void finish() const {
-    for (std::size_t i = 0; i < obj_->size(); ++i)
-      if (!used_[i])
-        throw InvalidParameter(ctx_ + ": unknown field '" + (*obj_)[i].first + "'");
-  }
-
- private:
-  const json::Value::Object* obj_;
-  std::string ctx_;
-  std::vector<bool> used_;
-};
-
-tech::CapKind cap_kind_from(FieldReader& r, const std::string& s) {
-  if (s == "mos") return tech::CapKind::MosCap;
-  if (s == "mim") return tech::CapKind::Mim;
-  if (s == "trench") return tech::CapKind::DeepTrench;
-  r.fail("cap", "unknown capacitor kind '" + s + "' (mos|mim|trench)");
+  return nullptr;
 }
 
-tech::InductorKind inductor_kind_from(FieldReader& r, const std::string& s) {
-  if (s == "smt") return tech::InductorKind::SurfaceMount;
-  if (s == "interposer") return tech::InductorKind::IntegratedInterposer;
-  if (s == "magnetic") return tech::InductorKind::MagneticFilm;
-  r.fail("inductor", "unknown inductor kind '" + s + "' (smt|interposer|magnetic)");
+bool FieldReader::has(std::string_view key) const {
+  for (const auto& m : *obj_)
+    if (m.first == key) return true;
+  return false;
 }
 
-core::ScFamily sc_family_from(FieldReader& r, const std::string& s) {
-  if (s == "auto") return core::ScFamily::Auto;
-  if (s == "ladder") return core::ScFamily::Ladder;
-  if (s == "series-parallel") return core::ScFamily::SeriesParallel;
-  if (s == "dickson") return core::ScFamily::Dickson;
-  r.fail("family", "unknown SC family '" + s + "' (auto|ladder|series-parallel|dickson)");
+double FieldReader::num(std::string_view key, double fallback) {
+  const json::Value* v = get(key);
+  if (!v) return fallback;
+  if (v->is_number()) return v->as_number();
+  if (v->is_string()) {
+    try {
+      return spice::parse_spice_value(v->as_string());
+    } catch (const std::exception& e) {
+      fail(key, std::string("bad SPICE-suffixed value: ") + e.what());
+    }
+  }
+  fail(key, "expected a number or a SPICE-suffixed string");
+}
+
+int FieldReader::integer(std::string_view key, int fallback) {
+  const double d = num(key, static_cast<double>(fallback));
+  if (std::nearbyint(d) != d || d < std::numeric_limits<int>::min() ||
+      d > std::numeric_limits<int>::max())
+    fail(key, "expected an integer");
+  return static_cast<int>(d);
+}
+
+std::string FieldReader::str(std::string_view key, std::string fallback) {
+  const json::Value* v = get(key);
+  if (!v) return fallback;
+  if (!v->is_string()) fail(key, "expected a string");
+  return v->as_string();
+}
+
+bool FieldReader::boolean(std::string_view key, bool fallback) {
+  const json::Value* v = get(key);
+  if (!v) return fallback;
+  if (v->is_bool()) return v->as_bool();
+  if (v->is_string() && (v->as_string() == "0" || v->as_string() == "1"))
+    return v->as_string() == "1";
+  fail(key, "expected true or false (or \"0\"/\"1\")");
+}
+
+std::size_t FieldReader::choice(std::string_view key, std::string_view fallback,
+                                std::initializer_list<std::string_view> names) {
+  const std::string s = str(key, std::string(fallback));
+  std::string known;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names.begin()[i] == s) return i;
+    known += (i ? "|" : "") + std::string(names.begin()[i]);
+  }
+  fail(key, "unknown value '" + s + "' (" + known + ")");
+}
+
+void FieldReader::finish() const {
+  for (std::size_t i = 0; i < obj_->size(); ++i)
+    if (!used_[i]) throw SchemaError(ctx_ + ": unknown field '" + (*obj_)[i].first + "'");
 }
 
 tech::Node node_from(FieldReader& r) {
@@ -119,15 +96,55 @@ tech::Node node_from(FieldReader& r) {
   }
 }
 
+tech::CapKind cap_kind_from(FieldReader& r, std::string_view fallback) {
+  constexpr tech::CapKind kinds[] = {tech::CapKind::MosCap, tech::CapKind::Mim,
+                                     tech::CapKind::DeepTrench};
+  return kinds[r.choice("cap", fallback, {"mos", "mim", "trench"})];
+}
+
+tech::InductorKind inductor_kind_from(FieldReader& r, std::string_view fallback) {
+  constexpr tech::InductorKind kinds[] = {tech::InductorKind::SurfaceMount,
+                                          tech::InductorKind::IntegratedInterposer,
+                                          tech::InductorKind::MagneticFilm};
+  return kinds[r.choice("inductor", fallback, {"smt", "interposer", "magnetic"})];
+}
+
+core::ScFamily sc_family_from(FieldReader& r) {
+  constexpr core::ScFamily families[] = {core::ScFamily::Auto, core::ScFamily::Ladder,
+                                         core::ScFamily::SeriesParallel,
+                                         core::ScFamily::Dickson};
+  return families[r.choice("family", "auto", {"auto", "ladder", "series-parallel", "dickson"})];
+}
+
+workload::Benchmark benchmark_from(FieldReader& r, std::string_view fallback) {
+  const std::string s = r.str("benchmark", std::string(fallback));
+  try {
+    return workload::benchmark_from_string(s);
+  } catch (const std::exception& e) {
+    r.fail("benchmark", e.what());
+  }
+}
+
+std::optional<core::IvrTopology> topology_from(FieldReader& r, std::string_view extra) {
+  constexpr core::IvrTopology kinds[] = {
+      core::IvrTopology::SwitchedCapacitor, core::IvrTopology::Buck,
+      core::IvrTopology::LinearRegulator, core::IvrTopology::DigitalLdo};
+  const std::size_t i = extra.empty()
+                            ? r.choice("topology", "sc", {"sc", "buck", "ldo", "dldo"})
+                            : r.choice("topology", "sc", {"sc", "buck", "ldo", "dldo", extra});
+  if (i == std::size(kinds)) return std::nullopt;
+  return kinds[i];
+}
+
 core::SystemParams system_from(FieldReader& r) {
   core::SystemParams sys;
   sys.vin_v = r.num("vin", sys.vin_v);
   sys.vout_v = r.num("vout", sys.vout_v);
   sys.p_load_w = r.num("power", sys.p_load_w);
-  sys.area_max_m2 = r.num("area", sys.area_max_m2 * 1e6) * 1e-6;  // mm^2, like the CLI.
+  sys.area_max_m2 = r.num("area", sys.area_max_m2 * 1e6) * 1e-6;  // mm^2
   sys.node = node_from(r);
-  sys.cap_kind = cap_kind_from(r, r.str("cap", "trench"));
-  sys.inductor = inductor_kind_from(r, r.str("inductor", "magnetic"));
+  sys.cap_kind = cap_kind_from(r, "trench");
+  sys.inductor = inductor_kind_from(r, "magnetic");
   sys.max_distributed = r.integer("max_dist", sys.max_distributed);
   sys.ripple_max_v = r.num("ripple", sys.ripple_max_v);
   return sys;
@@ -136,10 +153,10 @@ core::SystemParams system_from(FieldReader& r) {
 core::ScDesign sc_design_from(FieldReader& r) {
   core::ScDesign d;
   d.node = node_from(r);
-  d.cap_kind = cap_kind_from(r, r.str("cap", "trench"));
+  d.cap_kind = cap_kind_from(r, "trench");
   d.n = r.integer("n", 2);
   d.m = r.integer("m", 1);
-  d.family = sc_family_from(r, r.str("family", "auto"));
+  d.family = sc_family_from(r);
   d.c_fly_f = r.num("cfly", 1e-6);
   d.c_out_f = r.num("cout", 0.2e-6);
   d.g_tot_s = r.num("gtot", 5000.0);
@@ -152,8 +169,8 @@ core::ScDesign sc_design_from(FieldReader& r) {
 core::BuckDesign buck_design_from(FieldReader& r) {
   core::BuckDesign d;
   d.node = node_from(r);
-  d.cap_kind = cap_kind_from(r, r.str("cap", "trench"));
-  d.inductor = inductor_kind_from(r, r.str("inductor", "interposer"));
+  d.cap_kind = cap_kind_from(r, "trench");
+  d.inductor = inductor_kind_from(r, "interposer");
   d.l_per_phase_h = r.num("l", 5e-9);
   d.f_sw_hz = r.num("fsw", 100e6);
   d.n_phases = r.integer("phases", 4);
@@ -166,7 +183,7 @@ core::BuckDesign buck_design_from(FieldReader& r) {
 core::LdoDesign ldo_design_from(FieldReader& r) {
   core::LdoDesign d;
   d.node = node_from(r);
-  d.cap_kind = cap_kind_from(r, r.str("cap", "mos"));
+  d.cap_kind = cap_kind_from(r, "mos");
   d.w_pass_m = r.num("wpass", 0.05);
   d.n_bits = r.integer("bits", 7);
   d.f_clk_hz = r.num("fclk", 500e6);
@@ -178,7 +195,7 @@ core::LdoDesign ldo_design_from(FieldReader& r) {
 core::DldoDesign dldo_design_from(FieldReader& r) {
   core::DldoDesign d;
   d.node = node_from(r);
-  d.cap_kind = cap_kind_from(r, r.str("cap", "mos"));
+  d.cap_kind = cap_kind_from(r, "mos");
   d.w_pass_m = r.num("wpass", 0.05);
   d.n_bits = r.integer("bits", 7);
   d.f_clk_hz = r.num("fclk", 500e6);
@@ -187,14 +204,6 @@ core::DldoDesign dldo_design_from(FieldReader& r) {
   d.i_quiescent_a = r.num("iq", 1e-3);
   return d;
 }
-
-workload::Benchmark benchmark_from(FieldReader& r, const std::string& s) {
-  for (const workload::Benchmark b : workload::kAllBenchmarks)
-    if (s == workload::benchmark_name(b)) return b;
-  r.fail("benchmark", "unknown benchmark '" + s + "'");
-}
-
-}  // namespace
 
 const char* op_name(Op op) {
   switch (op) {
@@ -239,19 +248,15 @@ Request parse_request(const json::Value& root) {
     if (m.first == "deadline_ms") {
       if (!m.second.is_number() || !(m.second.as_number() > 0.0))
         throw InvalidParameter("field 'deadline_ms': expected a positive number");
-      req.deadline_ms = m.second.as_number();
       continue;
     }
     if (m.first == "stream") {
       if (!m.second.is_bool()) throw InvalidParameter("field 'stream': expected a bool");
-      req.stream = m.second.as_bool();
       continue;
     }
     if (m.first == "encoding") {
-      if (!m.second.is_string() ||
-          (m.second.as_string() != "json" && m.second.as_string() != "wave1"))
-        throw InvalidParameter("field 'encoding': expected \"json\" or \"wave1\"");
-      req.encoding = m.second.as_string();
+      if (!m.second.is_string() || m.second.as_string() != "wave1")
+        throw InvalidParameter("field 'encoding': expected \"wave1\" (the only stream encoding)");
       continue;
     }
     if (m.first == "chunk_bytes") {
@@ -292,6 +297,8 @@ TransportDirective classify_line(const std::string& line) {
     }
     if (const json::Value* s = root.find("stream"))
       d.is_stream = s->is_bool() && s->as_bool();
+    if (const json::Value* dl = root.find("deadline_ms"))
+      if (dl->is_number() && dl->as_number() > 0.0) d.deadline_ms = dl->as_number();
   } catch (const std::exception&) {
     // Malformed line: plain request; the service reports the parse error.
   }
@@ -356,6 +363,12 @@ int top_k_from(FieldReader& r) {
   return k;
 }
 
+int dist_from(FieldReader& r) {
+  const int dist = r.integer("dist", 4);
+  if (dist < 1) r.fail("dist", "must be >= 1");
+  return dist;
+}
+
 }  // namespace
 
 ExploreParams explore_params(const json::Value& body) {
@@ -363,11 +376,9 @@ ExploreParams explore_params(const json::Value& body) {
   r.get("op");
   ExploreParams p;
   p.sys = system_from(r);
-  const std::string t = r.str("target", "efficiency");
-  if (t == "efficiency") p.target = core::OptTarget::Efficiency;
-  else if (t == "area") p.target = core::OptTarget::Area;
-  else if (t == "noise") p.target = core::OptTarget::Noise;
-  else r.fail("target", "unknown target '" + t + "' (efficiency|area|noise)");
+  constexpr core::OptTarget targets[] = {core::OptTarget::Efficiency, core::OptTarget::Area,
+                                         core::OptTarget::Noise};
+  p.target = targets[r.choice("target", "efficiency", {"efficiency", "area", "noise"})];
   p.top_k = top_k_from(r);
   r.finish();
   return p;
@@ -378,10 +389,10 @@ ParetoParams pareto_params(const json::Value& body) {
   r.get("op");
   ParetoParams p;
   p.sys = system_from(r);
-  const double density = r.num("density", 1.0);
-  if (!(density > 0.0) || density > 4.0)
+  p.density = r.num("density", p.density);
+  if (!(p.density > 0.0) || p.density > 4.0)
     r.fail("density", "must be in (0, 4] (grid scale factor)");
-  p.spec = p.spec.scaled(density);
+  p.spec = p.spec.scaled(p.density);
   const int cap = r.integer("front_cap", static_cast<int>(p.spec.front_cap));
   if (cap < 1) r.fail("front_cap", "must be >= 1");
   p.spec.front_cap = static_cast<std::size_t>(cap);
@@ -396,15 +407,10 @@ OptimizeParams optimize_params(const json::Value& body) {
   r.get("op");
   OptimizeParams p;
   p.sys = system_from(r);
-  p.n_distributed = r.integer("dist", p.n_distributed);
-  if (p.n_distributed < 1) r.fail("dist", "must be >= 1");
-  const std::string t = r.str("topology", "sc");
-  if (t == "sc") p.topology = core::IvrTopology::SwitchedCapacitor;
-  else if (t == "buck") p.topology = core::IvrTopology::Buck;
-  else if (t == "ldo") p.topology = core::IvrTopology::LinearRegulator;
-  else if (t == "dldo") p.topology = core::IvrTopology::DigitalLdo;
-  else if (t == "two_stage") p.two_stage = true;
-  else r.fail("topology", "unknown topology '" + t + "' (sc|buck|ldo|dldo|two_stage)");
+  p.n_distributed = dist_from(r);
+  const std::optional<core::IvrTopology> topology = topology_from(r, "two_stage");
+  p.two_stage = !topology;
+  if (topology) p.topology = *topology;
   r.finish();
   return p;
 }
@@ -414,20 +420,14 @@ ScenarioEvalParams scenario_eval_params(const json::Value& body) {
   r.get("op");
   ScenarioEvalParams p;
   p.sys = system_from(r);
-  p.n_distributed = r.integer("dist", p.n_distributed);
-  if (p.n_distributed < 1) r.fail("dist", "must be >= 1");
-  const std::string t = r.str("topology", "sc");
-  if (t == "sc") p.topology = core::IvrTopology::SwitchedCapacitor;
-  else if (t == "buck") p.topology = core::IvrTopology::Buck;
-  else if (t == "ldo") p.topology = core::IvrTopology::LinearRegulator;
-  else if (t == "dldo") p.topology = core::IvrTopology::DigitalLdo;
-  else r.fail("topology", "unknown topology '" + t + "' (sc|buck|ldo|dldo)");
+  p.n_distributed = dist_from(r);
+  p.topology = *topology_from(r);
 
   const json::Value* preset = r.get("preset");
   const json::Value* states = r.get("states");
   if ((preset != nullptr) == (states != nullptr))
-    throw InvalidParameter("scenario_eval: exactly one of 'preset' (residency preset name) or "
-                           "'states' (inline state array) is required");
+    throw SchemaError("scenario_eval: exactly one of 'preset' (residency preset name) or "
+                      "'states' (inline state array) is required");
   if (preset) {
     if (!preset->is_string()) r.fail("preset", "expected a residency preset name");
     try {
@@ -474,7 +474,7 @@ ScenarioEvalParams scenario_eval_params(const json::Value& body) {
       } catch (const std::exception& e) {
         dr.fail("delivery", e.what());
       }
-      dom.benchmark = benchmark_from(dr, dr.str("benchmark", workload::benchmark_name(dom.benchmark)));
+      dom.benchmark = benchmark_from(dr, workload::benchmark_name(dom.benchmark));
       dr.finish();
       p.spec.domains.push_back(std::move(dom));
     }
@@ -501,8 +501,7 @@ PdsParams pds_params(const json::Value& body) {
   p.v_nom_v = r.num("vnom", p.v_nom_v);
   p.guard_off_v = r.num("guard_off", p.guard_off_v);
   p.guard_ivr_v = r.num("guard_ivr", p.guard_ivr_v);
-  p.n_distributed = r.integer("dist", p.n_distributed);
-  if (p.n_distributed < 1) r.fail("dist", "must be >= 1");
+  p.n_distributed = dist_from(r);
   r.finish();
   return p;
 }
@@ -511,19 +510,22 @@ TransientParams transient_params(const json::Value& body) {
   FieldReader r(body, "transient");
   r.get("op");
   TransientParams p;
-  const std::string topo = r.str("topology", "sc");
-  if (topo == "sc") p.kind = TransientParams::Kind::Sc;
-  else if (topo == "buck") p.kind = TransientParams::Kind::Buck;
-  else if (topo == "ldo") p.kind = TransientParams::Kind::Ldo;
-  else if (topo == "dldo") p.kind = TransientParams::Kind::Dldo;
-  else if (topo == "spice") p.kind = TransientParams::Kind::Spice;
-  else r.fail("topology", "unknown topology '" + topo + "' (sc|buck|ldo|dldo|spice)");
+  if (const std::optional<core::IvrTopology> topology = topology_from(r, "spice")) {
+    switch (*topology) {
+      case core::IvrTopology::SwitchedCapacitor: p.kind = TransientParams::Kind::Sc; break;
+      case core::IvrTopology::Buck: p.kind = TransientParams::Kind::Buck; break;
+      case core::IvrTopology::LinearRegulator: p.kind = TransientParams::Kind::Ldo; break;
+      case core::IvrTopology::DigitalLdo: p.kind = TransientParams::Kind::Dldo; break;
+    }
+  } else {
+    p.kind = TransientParams::Kind::Spice;
+  }
 
   if (p.kind == TransientParams::Kind::Spice) {
     // Switch-level engine: an inline netlist instead of a design object;
     // sources live in the netlist, so no load trace is accepted.
     const json::Value* netlist = r.get("netlist");
-    if (!netlist) throw InvalidParameter("transient: topology 'spice' requires 'netlist'");
+    if (!netlist) throw SchemaError("transient: topology 'spice' requires 'netlist'");
     if (!netlist->is_string() || netlist->as_string().empty())
       r.fail("netlist", "expected a non-empty SPICE netlist string");
     p.netlist = netlist->as_string();
@@ -531,10 +533,7 @@ TransientParams transient_params(const json::Value& body) {
     if (!(p.tstop_s > 0.0)) r.fail("tstop", "must be > 0");
     p.dt_s = r.num("dt", 0.0);
     if (!(p.dt_s > 0.0)) r.fail("dt", "must be > 0");
-    const std::string method = r.str("method", "trap");
-    if (method == "trap") p.trapezoidal = true;
-    else if (method == "be") p.trapezoidal = false;
-    else r.fail("method", "unknown integrator '" + method + "' (trap|be)");
+    p.trapezoidal = r.choice("method", "trap", {"trap", "be"}) == 0;
     p.use_ic = r.boolean("uic", false);
     p.record_every = r.integer("record_every", 1);
     if (p.record_every < 1) r.fail("record_every", "must be >= 1");
@@ -551,16 +550,18 @@ TransientParams transient_params(const json::Value& body) {
     p.lu_cache_capacity = r.integer("lu_cache", p.lu_cache_capacity);
     if (p.lu_cache_capacity < 0) r.fail("lu_cache", "must be >= 0");
     p.kernel = r.str("kernel", p.kernel);
-    if (p.kernel != "auto" && p.kernel != "dense" && p.kernel != "banded" &&
-        p.kernel != "sparse")
-      r.fail("kernel", "expected auto | dense | banded | sparse");
+    try {
+      sparse::kernel_from_string(p.kernel);
+    } catch (const std::exception& e) {
+      r.fail("kernel", e.what());
+    }
     p.return_waveform = r.boolean("return_waveform", false);
     r.finish();
     return p;
   }
 
   const json::Value* design = r.get("design");
-  if (!design) throw InvalidParameter("transient: missing required field 'design'");
+  if (!design) throw SchemaError("transient: missing required field 'design'");
   if (!design->is_object()) r.fail("design", "expected an object");
   {
     FieldReader dr(*design, "transient.design");
@@ -583,8 +584,8 @@ TransientParams transient_params(const json::Value& body) {
   const json::Value* iload = r.get("iload");
   const json::Value* load = r.get("load");
   if ((iload != nullptr) == (load != nullptr))
-    throw InvalidParameter("transient: exactly one of 'iload' (inline trace) or 'load' "
-                           "(workload spec) is required");
+    throw SchemaError("transient: exactly one of 'iload' (inline trace) or 'load' "
+                      "(workload spec) is required");
   if (iload) {
     if (!iload->is_array() || iload->as_array().empty())
       r.fail("iload", "expected a non-empty array of currents [A]");
@@ -596,7 +597,7 @@ TransientParams transient_params(const json::Value& body) {
     if (!load->is_object()) r.fail("load", "expected an object");
     FieldReader lr(*load, "transient.load");
     p.has_workload = true;
-    p.benchmark = benchmark_from(lr, lr.str("benchmark", "CFD"));
+    p.benchmark = benchmark_from(lr, "CFD");
     p.n_sm = lr.integer("n_sm", p.n_sm);
     if (p.n_sm < 1) lr.fail("n_sm", "must be >= 1");
     p.sm_avg_w = lr.num("sm_avg_w", p.sm_avg_w);

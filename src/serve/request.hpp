@@ -7,10 +7,9 @@
 // Envelope fields (not part of the cached content):
 //   id          optional string | number | null — echoed in the response
 //   deadline_ms optional number > 0 — drop the job if it has waited longer
-//   stream      optional bool — true: respond with a binary frame stream
-//               (see serve/frame.hpp) instead of one JSON line
-//   encoding    optional "json" (default) | "wave1" — streamed payload
-//               encoding; wave1 requires a transient with return_waveform
+//   stream      optional bool — true: respond with a wave1 frame stream (see
+//               serve/frame.hpp); requires a transient with return_waveform
+//   encoding    optional, "wave1" only — the streamed payload encoding
 //   chunk_bytes optional integer in [1, 16 MiB] — streamed chunk budget
 //
 // Everything else, including "op", is the request *body*. The cache key is
@@ -22,20 +21,83 @@
 // differently from one omitting it (both evaluate to the same result).
 //
 // Numeric parameter fields accept either JSON numbers or SPICE-suffixed
-// strings ("4u", "80meg") — the same spellings the CLI takes.
+// strings ("4u", "80meg"), and boolean fields true/false or "0"/"1". The
+// `ivory` CLI reads its flags through the same schema: `--a-b value` becomes
+// the string member "a_b":"value".
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hpp"
 #include "core/optimizer.hpp"
 #include "core/pareto.hpp"
+#include "core/sc_topology.hpp"
 #include "scenario/scenario.hpp"
 #include "workload/workload.hpp"
 
 namespace ivory::serve {
+
+/// A body that breaks its op's schema: an unknown field, a wrong type or an
+/// out-of-domain value. Failed evaluations throw other errors, so a caller
+/// can tell a bad request from a design the models reject.
+class SchemaError : public InvalidParameter {
+ public:
+  using InvalidParameter::InvalidParameter;
+};
+
+/// Strict reader over a request body: every field access marks the member
+/// consumed, and finish() rejects any member the schema never asked for —
+/// catching typos ("cflyy") instead of silently applying a default. Every
+/// failure is a SchemaError naming the field.
+class FieldReader {
+ public:
+  FieldReader(const json::Value& body, std::string context);
+
+  [[noreturn]] void fail(std::string_view field, const std::string& what) const;
+
+  const json::Value* get(std::string_view key);
+  bool has(std::string_view key) const;
+
+  /// Numbers are JSON numbers or SPICE-suffixed strings ("4u", "80meg").
+  double num(std::string_view key, double fallback);
+  int integer(std::string_view key, int fallback);
+  std::string str(std::string_view key, std::string fallback);
+  /// true/false, or the strings "0"/"1".
+  bool boolean(std::string_view key, bool fallback);
+  /// Index of the string field's value in `names` (absent: `fallback`'s).
+  std::size_t choice(std::string_view key, std::string_view fallback,
+                     std::initializer_list<std::string_view> names);
+
+  /// Rejects members no schema field consumed.
+  void finish() const;
+
+ private:
+  const json::Value::Object* obj_;
+  std::string ctx_;
+  std::vector<bool> used_;
+};
+
+// Field groups and enum fields shared by the op schemas below (and by the
+// CLI subcommands that have no op). Each reads its field(s) from `r`.
+tech::Node node_from(FieldReader& r);                                   ///< "node"
+tech::CapKind cap_kind_from(FieldReader& r, std::string_view fallback);  ///< "cap"
+tech::InductorKind inductor_kind_from(FieldReader& r, std::string_view fallback);
+core::ScFamily sc_family_from(FieldReader& r);                           ///< "family"
+workload::Benchmark benchmark_from(FieldReader& r, std::string_view fallback);
+/// "topology": sc | buck | ldo | dldo, or the op's own `extra` value
+/// ("two_stage", "spice"), which reads as nullopt.
+std::optional<core::IvrTopology> topology_from(FieldReader& r, std::string_view extra = {});
+/// vin, vout, power, area (mm^2), node, cap, inductor, max_dist, ripple.
+core::SystemParams system_from(FieldReader& r);
+core::ScDesign sc_design_from(FieldReader& r);
+core::BuckDesign buck_design_from(FieldReader& r);
+core::LdoDesign ldo_design_from(FieldReader& r);
+core::DldoDesign dldo_design_from(FieldReader& r);
 
 enum class Op {
   ScStatic,      ///< analyze one SC design (optionally regulated)
@@ -62,36 +124,35 @@ struct Request {
   json::Value body;        ///< the request object minus envelope fields
   std::string canonical;   ///< canonical JSON of `body`
   std::uint64_t key = 0;   ///< fnv1a64(canonical)
-  double deadline_ms = 0;  ///< <= 0 means no deadline
-
-  // Transport negotiation (envelope, excluded from the cache key: a streamed
-  // and a non-streamed request for the same body share one cache entry).
-  bool stream = false;
-  std::string encoding = "json";   ///< "json" | "wave1"
-  std::size_t chunk_bytes = 65536; ///< streamed chunk budget
+  std::size_t chunk_bytes = 65536;  ///< streamed chunk budget
 };
 
 /// Validates the envelope of a parsed request object and computes its
 /// canonical form + cache key. Parameter validation happens at evaluation
-/// time (see the builders below). Throws InvalidParameter.
+/// time (see the builders below). Throws InvalidParameter. The transports
+/// route on `deadline_ms` and `stream` via classify_line(); here they are
+/// only validated.
 Request parse_request(const json::Value& root);
 
 /// Cheap transport-level peek at a raw request line, used by transports to
-/// route it (plain response slot, stream slot, or cancel) before the service
-/// sees it. Never throws: a malformed line classifies as a plain request and
-/// the service reports the parse error in the ordinary response.
+/// route it (plain response slot, stream slot, or cancel) and by the
+/// scheduler for cancel/deadline bookkeeping, so the line's envelope is read
+/// once before the service sees it. Never throws: a malformed line classifies
+/// as a plain request and the service reports the parse error in the
+/// ordinary response.
 struct TransportDirective {
   bool is_stream = false;   ///< envelope asked for a frame-stream response
   bool is_cancel = false;   ///< {"cancel": <id>} control line (no "op")
   json::Value id;           ///< request id (null when absent/invalid)
   json::Value cancel_id;    ///< id named by a cancel line
+  double deadline_ms = 0;   ///< <= 0 means no deadline
 };
 TransportDirective classify_line(const std::string& line);
 
 // ---------------------------------------------------------------------------
 // Typed parameters per op. Builders perform strict field-level validation:
-// unknown fields, wrong types and out-of-domain values are rejected with the
-// offending field named.
+// unknown fields, wrong types and out-of-domain values throw SchemaError
+// naming the offending field.
 // ---------------------------------------------------------------------------
 
 struct ScStaticParams {
@@ -138,6 +199,7 @@ ExploreParams explore_params(const json::Value& body);
 /// (truncates the reported points, 0 = all; stats keep the full counts).
 struct ParetoParams {
   core::SystemParams sys;
+  double density = 1.0;  ///< the grid scale `spec` was built with
   core::FunnelSpec spec;
   int top_k = 0;
 };

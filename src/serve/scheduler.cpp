@@ -231,20 +231,32 @@ void Scheduler::close_client(int client) {
   if (it->second.jobs.empty()) clients_.erase(it);
 }
 
-void Scheduler::enqueue(int client, Job job) {
+void Scheduler::dispatch(int client, std::string line, DeliveryQueue& out) {
+  const TransportDirective d = classify_line(line);
+  if (d.is_cancel) {
+    // Answered inline (in submission order via its own plain slot): a
+    // cancel directive must not wait behind the queue it is pruning.
+    const bool hit = cancel(client, d.cancel_id);
+    out.open_plain()->set("{\"id\":" + d.id.write() +
+                          ",\"ok\":true,\"result\":{\"cancelled\":" +
+                          (hit ? "true" : "false") + "}}\n");
+    return;
+  }
+  Job job;
+  job.line = std::move(line);
+  // Cancel/deadline bookkeeping comes from the envelope, not the service; a
+  // malformed line keeps id=null and is rejected by the service at dispatch.
+  job.id = d.id;
+  job.deadline_ms = d.deadline_ms;
   job.client = client;
   job.enqueued = std::chrono::steady_clock::now();
-  // Pre-parse the envelope so cancel/deadline handling does not depend on
-  // the service; a malformed line keeps id=null and is rejected by the
-  // service at dispatch time.
-  try {
-    const json::Value root = json::Value::parse(job.line);
-    if (const json::Value* id = root.find("id"))
-      if (id->is_null() || id->is_string() || id->is_number()) job.id = *id;
-    if (const json::Value* dl = root.find("deadline_ms"))
-      if (dl->is_number() && dl->as_number() > 0.0) job.deadline_ms = dl->as_number();
-  } catch (const std::exception&) {
-    // leave defaults; the service reports the parse error in the response
+  if (d.is_stream) {
+    job.stream_out = out.open_stream();
+    job.cancel_flag = std::make_shared<std::atomic<bool>>(false);
+  } else {
+    job.sink = [slot = out.open_plain()](const std::string& response) {
+      slot->set(response + "\n");
+    };
   }
 
   std::unique_lock<std::mutex> lock(mu_);
@@ -259,22 +271,6 @@ void Scheduler::enqueue(int client, Job job) {
   sched_metrics().jobs.add();
   sched_metrics().queue_depth.set(static_cast<std::int64_t>(queued_));
   cv_work_.notify_one();
-}
-
-void Scheduler::submit(int client, std::string line, Sink sink) {
-  Job job;
-  job.line = std::move(line);
-  job.sink = std::move(sink);
-  enqueue(client, std::move(job));
-}
-
-void Scheduler::submit_stream(int client, std::string line,
-                              std::shared_ptr<DeliveryQueue::Stream> out) {
-  Job job;
-  job.line = std::move(line);
-  job.stream_out = std::move(out);
-  job.cancel_flag = std::make_shared<std::atomic<bool>>(false);
-  enqueue(client, std::move(job));
 }
 
 bool Scheduler::cancel(int client, const json::Value& id) {

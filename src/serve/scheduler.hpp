@@ -10,14 +10,14 @@
 // submission order, so transports can stream responses without reordering
 // buffers.
 //
-// Back-pressure: `submit` blocks while `queue_capacity` jobs are pending —
+// Back-pressure: `dispatch` blocks while `queue_capacity` jobs are pending —
 // a slow consumer stalls its producer instead of growing memory without
 // bound. Cancellation (`cancel`) and per-request deadlines (`deadline_ms`
 // envelope field) apply to *queued* jobs: a job already evaluating runs to
 // completion; a cancelled or expired job is delivered as a structured
 // {"ok":false} response without touching a model.
 //
-// Streamed requests (`submit_stream`) ride the same per-client queues and
+// Streamed requests ride the same per-client queues and
 // wave gather for ordering/fairness, but evaluate on a small pool of
 // dedicated stream-worker threads instead of inside the wave: a streamed
 // transient runs for seconds and must not stall the dispatcher. Each stream
@@ -126,10 +126,6 @@ class Scheduler {
     std::size_t stream_slots = 2;  ///< dedicated stream-worker threads
   };
 
-  /// Receives one response line (no trailing newline). Invoked from the
-  /// dispatcher thread, serially, in per-client submission order.
-  using Sink = std::function<void(const std::string&)>;
-
   Scheduler(Service& service, Options opt);
   ~Scheduler();
 
@@ -142,14 +138,14 @@ class Scheduler {
   /// Marks the client done; its already-queued jobs still run and deliver.
   void close_client(int client);
 
-  /// Enqueues one request line. Blocks while the queue is at capacity.
-  void submit(int client, std::string line, Sink sink);
-
-  /// Enqueues one streamed request line whose frames go to `out`. Ordering
-  /// and fairness match submit(); evaluation runs on a stream worker. The
-  /// scheduler always calls out->finish(), even on cancel or error.
-  void submit_stream(int client, std::string line,
-                     std::shared_ptr<DeliveryQueue::Stream> out);
+  /// Routes one request line from a transport, reading its envelope once:
+  /// a {"cancel":<id>} line is answered at once, a streamed request gets a
+  /// stream slot in `out` and anything else a plain slot, opened in
+  /// submission order so `out` delivers the responses in that order.
+  /// Blocks while the queue is at capacity. Streamed requests evaluate on a
+  /// stream worker, which always finishes their slot, even on cancel or
+  /// error.
+  void dispatch(int client, std::string line, DeliveryQueue& out);
 
   /// Cancels the oldest *queued* job of `client` whose request id equals
   /// `id`, or flags a matching *active stream* so it aborts at its next
@@ -168,8 +164,10 @@ class Scheduler {
  private:
   struct Job {
     std::string line;
-    json::Value id;  ///< pre-parsed for cancel/deadline bookkeeping
-    Sink sink;
+    json::Value id;  ///< from the envelope, for cancel/deadline bookkeeping
+    /// Receives the response line (no trailing newline). Invoked from the
+    /// dispatcher thread, serially, in per-client submission order.
+    std::function<void(const std::string&)> sink;
     std::shared_ptr<DeliveryQueue::Stream> stream_out;  ///< non-null = stream job
     std::shared_ptr<std::atomic<bool>> cancel_flag;     ///< stream jobs only
     int client = -1;
@@ -188,7 +186,6 @@ class Scheduler {
     std::shared_ptr<DeliveryQueue::Stream> out;
   };
 
-  void enqueue(int client, Job job);
   void dispatcher_loop();
   void stream_worker_loop();
   void run_stream_job(Job job);

@@ -145,6 +145,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
   });
 
   std::string buf;
+  std::size_t scanned = 0;  // leading bytes of buf known to hold no '\n'
   char chunk[4096];
   while (true) {
     const ssize_t r = ::read(conn->fd, chunk, sizeof chunk);
@@ -152,37 +153,15 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     if (r <= 0) break;  // EOF or error: stop reading, flush what we have
     buf.append(chunk, static_cast<std::size_t>(r));
     std::size_t start = 0;
-    for (std::size_t nl = buf.find('\n', start); nl != std::string::npos;
+    for (std::size_t nl = buf.find('\n', scanned); nl != std::string::npos;
          nl = buf.find('\n', start)) {
       std::string line = buf.substr(start, nl - start);
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      const TransportDirective d = classify_line(line);
-      if (d.is_cancel) {
-        // Answered inline (in submission order via its own plain slot): a
-        // cancel directive must not wait behind the queue it is pruning.
-        const bool hit = scheduler_->cancel(conn->client, d.cancel_id);
-        std::string resp = "{\"id\":";
-        resp += d.id.write();
-        resp += ",\"ok\":true,\"result\":{\"cancelled\":";
-        resp += hit ? "true" : "false";
-        resp += "}}\n";
-        conn->delivery->open_plain()->set(std::move(resp));
-        continue;
-      }
-      if (d.is_stream) {
-        scheduler_->submit_stream(conn->client, std::move(line),
-                                  conn->delivery->open_stream());
-        continue;
-      }
-      std::shared_ptr<DeliveryQueue::Plain> slot = conn->delivery->open_plain();
-      scheduler_->submit(conn->client, std::move(line),
-                         [slot](const std::string& response) {
-                           slot->set(response + "\n");
-                         });
+      if (!line.empty()) scheduler_->dispatch(conn->client, std::move(line), *conn->delivery);
     }
     buf.erase(0, start);
+    scanned = buf.size();
   }
   // Every already-submitted job still delivers; the writer drains them all
   // (or drops them past a write error) before the queue reports empty.
@@ -224,13 +203,15 @@ void BlockingClient::send_line(const std::string& line) {
 }
 
 std::string BlockingClient::recv_line() {
+  std::size_t scanned = 0;  // leading bytes of buf_ known to hold no '\n'
   while (true) {
-    const std::size_t nl = buf_.find('\n');
+    const std::size_t nl = buf_.find('\n', scanned);
     if (nl != std::string::npos) {
       std::string line = buf_.substr(0, nl);
       buf_.erase(0, nl + 1);
       return line;
     }
+    scanned = buf_.size();
     char chunk[4096];
     const ssize_t r = ::read(fd_, chunk, sizeof chunk);
     if (r < 0 && errno == EINTR) continue;

@@ -58,6 +58,15 @@ std::string error_envelope(const json::Value& id, const json::Value& error) {
   return out;
 }
 
+/// Parses and validates one request line; on failure `id` holds the id to
+/// echo in the error response (null when the line carried none).
+Request decode_line(const std::string& line, json::Value& id) {
+  const json::Value root = json::Value::parse(line);
+  if (const json::Value* i = root.find("id"))
+    if (i->is_null() || i->is_string() || i->is_number()) id = *i;
+  return parse_request(root);
+}
+
 /// Candidate label for quarantine diagnostics: the canonical body, truncated
 /// so one pathological request cannot bloat a report.
 std::string candidate_label(const Request& req) {
@@ -77,48 +86,6 @@ json::Value box_to_json(const BoxStats& b) {
   o.emplace_back("maximum", b.maximum);
   o.emplace_back("n", static_cast<std::uint64_t>(b.n));
   return json::Value(std::move(o));
-}
-
-/// Switch-level transient setup shared by the buffered (evaluate) and
-/// streamed (stream_wave1) paths: both must produce the same circuit, spec
-/// and recorded-node names so their outputs are byte-identical.
-struct SpicePrep {
-  spice::Circuit ckt;
-  spice::TranSpec spec;
-  std::vector<std::string> names;  ///< names of the effective recorded nodes
-};
-
-SpicePrep prepare_spice(const TransientParams& p, std::size_t max_samples) {
-  // Switch-level MNA transient. The same sample budget that bounds inline
-  // traces bounds the step count here.
-  require(p.tstop_s / p.dt_s <= static_cast<double>(max_samples),
-          "transient: tstop/dt exceeds the per-request sample budget");
-  SpicePrep sp;
-  sp.ckt = spice::parse_netlist(p.netlist);
-  sp.spec.tstop = p.tstop_s;
-  sp.spec.dt = p.dt_s;
-  sp.spec.method = p.trapezoidal ? spice::Integrator::Trapezoidal
-                                 : spice::Integrator::BackwardEuler;
-  sp.spec.use_ic = p.use_ic;
-  sp.spec.record_every = p.record_every;
-  sp.spec.adaptive = p.adaptive;
-  sp.spec.dv_max_v = p.dv_max_v;
-  sp.spec.dt_max = p.dt_max_s;
-  sp.spec.lu_cache_capacity = p.lu_cache_capacity;
-  sp.spec.kernel = p.kernel == "dense"    ? sparse::Kernel::Dense
-                   : p.kernel == "banded" ? sparse::Kernel::Banded
-                   : p.kernel == "sparse" ? sparse::Kernel::Sparse
-                                          : sparse::Kernel::Auto;
-  for (const std::string& name : p.record_nodes)
-    sp.spec.record_nodes.push_back(sp.ckt.find_node(name));
-  // Effective recorded nodes, mirroring the engine's default (empty = all
-  // non-ground nodes) so the names are known before the run starts.
-  std::vector<spice::NodeId> nodes = sp.spec.record_nodes;
-  if (nodes.empty())
-    for (int n = 1; n < sp.ckt.node_count(); ++n) nodes.push_back(n);
-  sp.names.reserve(nodes.size());
-  for (const spice::NodeId n : nodes) sp.names.push_back(sp.ckt.node_name(n));
-  return sp;
 }
 
 /// Behavioural (cycle-model) waveform shared by both paths.
@@ -195,6 +162,36 @@ StreamMetrics& stream_metrics() {
 
 }  // namespace
 
+SpicePrep prepare_spice(const TransientParams& p, std::size_t max_samples) {
+  // Switch-level MNA transient. The same sample budget that bounds inline
+  // traces bounds the step count here.
+  require(p.tstop_s / p.dt_s <= static_cast<double>(max_samples),
+          "transient: tstop/dt exceeds the per-request sample budget");
+  SpicePrep sp;
+  sp.ckt = spice::parse_netlist(p.netlist);
+  sp.spec.tstop = p.tstop_s;
+  sp.spec.dt = p.dt_s;
+  sp.spec.method = p.trapezoidal ? spice::Integrator::Trapezoidal
+                                 : spice::Integrator::BackwardEuler;
+  sp.spec.use_ic = p.use_ic;
+  sp.spec.record_every = p.record_every;
+  sp.spec.adaptive = p.adaptive;
+  sp.spec.dv_max_v = p.dv_max_v;
+  sp.spec.dt_max = p.dt_max_s;
+  sp.spec.lu_cache_capacity = p.lu_cache_capacity;
+  sp.spec.kernel = sparse::kernel_from_string(p.kernel);
+  for (const std::string& name : p.record_nodes)
+    sp.spec.record_nodes.push_back(sp.ckt.find_node(name));
+  // Effective recorded nodes, mirroring the engine's default (empty = all
+  // non-ground nodes) so the names are known before the run starts.
+  std::vector<spice::NodeId> nodes = sp.spec.record_nodes;
+  if (nodes.empty())
+    for (int n = 1; n < sp.ckt.node_count(); ++n) nodes.push_back(n);
+  sp.names.reserve(nodes.size());
+  for (const spice::NodeId n : nodes) sp.names.push_back(sp.ckt.node_name(n));
+  return sp;
+}
+
 Service::Service(ServiceOptions opt)
     : opt_(opt), cache_(opt.cache_capacity, opt.cache_shards) {
   if (!opt_.cache_dir.empty()) {
@@ -232,21 +229,9 @@ std::string Service::handle_line(const std::string& line) {
   json::Value id;  // null until the request proves it has one
 
   const auto t_decode = std::chrono::steady_clock::now();
-  json::Value root;
-  try {
-    root = json::Value::parse(line);
-  } catch (const std::exception& e) {
-    n_errors_.fetch_add(1, std::memory_order_relaxed);
-    m.errors.add();
-    return error_response(id, "bad_request", e.what());
-  }
-  // Echo the id even when envelope validation fails below.
-  if (const json::Value* i = root.find("id"))
-    if (i->is_null() || i->is_string() || i->is_number()) id = *i;
-
   Request req;
   try {
-    req = parse_request(root);
+    req = decode_line(line, id);
   } catch (const std::exception& e) {
     n_errors_.fetch_add(1, std::memory_order_relaxed);
     m.errors.add();
@@ -319,13 +304,7 @@ std::string Service::handle_line(const std::string& line) {
     // Failures are never cached: the next identical request re-evaluates.
     n_errors_.fetch_add(1, std::memory_order_relaxed);
     m.errors.add();
-    const Diagnostics& d = out.diagnostics();
-    json::Value::Object err;
-    err.emplace_back("code", error_code_name(d.code));
-    err.emplace_back("site", d.site);
-    err.emplace_back("candidate", d.candidate);
-    err.emplace_back("detail", d.detail);
-    return error_envelope(req.id, json::Value(std::move(err)));
+    return error_envelope(req.id, to_json(out.diagnostics()));
   }
   const auto t_encode = std::chrono::steady_clock::now();
   cache_.insert(req.key, req.canonical, out.value());
@@ -468,31 +447,15 @@ std::string Service::evaluate(const Request& req) {
 void Service::handle_stream(const std::string& line, StreamEmitter& em) {
   IVORY_TRACE("serve.stream.request");
   StreamMetrics& sm = stream_metrics();
+  n_requests_.fetch_add(1, std::memory_order_relaxed);
+  serve_metrics().requests.add();
+  sm.requests.add();
   json::Value id;  // null until the request proves it has one
-
-  json::Value root;
-  try {
-    root = json::Value::parse(line);
-  } catch (const std::exception& e) {
-    n_requests_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().requests.add();
-    sm.requests.add();
-    n_errors_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().errors.add();
-    sm.errors.add();
-    em.error(error_response(id, "bad_request", e.what()));
-    return;
-  }
-  if (const json::Value* i = root.find("id"))
-    if (i->is_null() || i->is_string() || i->is_number()) id = *i;
 
   Request req;
   try {
-    req = parse_request(root);
+    req = decode_line(line, id);
   } catch (const std::exception& e) {
-    n_requests_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().requests.add();
-    sm.requests.add();
     n_errors_.fetch_add(1, std::memory_order_relaxed);
     serve_metrics().errors.add();
     sm.errors.add();
@@ -502,44 +465,11 @@ void Service::handle_stream(const std::string& line, StreamEmitter& em) {
   em.set_chunk_bytes(req.chunk_bytes);
   const std::string id_json = req.id.write();
 
-  if (req.encoding != "wave1") {
-    // json encoding: the full buffered pipeline (cache included) sliced
-    // into CHUNK frames. handle_line counts the request itself. The END
-    // status is "ok" even when the response is an {"ok":false,...}
-    // envelope — transport success; the client decodes the envelope.
-    sm.requests.add();
-    try {
-      const std::string resp = handle_line(line);
-      em.header("{\"id\":" + id_json + ",\"encoding\":\"json\"}");
-      em.chunk_split(resp);
-      sm.chunks.add(em.chunks_emitted());
-      em.end("{\"id\":" + id_json + ",\"status\":\"ok\",\"chunks\":" +
-             std::to_string(em.chunks_emitted()) + "}");
-    } catch (const StreamEmitter::Abort& a) {
-      switch (a.reason) {
-        case StreamEmitter::Abort::Reason::Cancelled:
-          sm.cancelled.add();
-          em.cancel_ack(stream_status_payload(id_json, "cancelled"));
-          break;
-        case StreamEmitter::Abort::Reason::Expired:
-          sm.expired.add();
-          em.end(stream_status_payload(id_json, "deadline_exceeded"));
-          break;
-        case StreamEmitter::Abort::Reason::ConsumerGone:
-          break;  // nobody left to tell
-      }
-    }
-    return;
-  }
-
-  // wave1: samples stream straight out of the engine; the cache is
-  // bypassed (the response never exists as one contiguous buffer).
-  n_requests_.fetch_add(1, std::memory_order_relaxed);
-  serve_metrics().requests.add();
-  sm.requests.add();
+  // Samples stream straight out of the engine; the cache is bypassed (the
+  // response never exists as one contiguous buffer).
   try {
     if (req.op != Op::Transient)
-      throw InvalidParameter("stream: encoding 'wave1' requires op 'transient'");
+      throw InvalidParameter("stream: streamed responses require op 'transient'");
     stream_wave1(req, em);
     sm.chunks.add(em.chunks_emitted());
   } catch (const StreamEmitter::Abort& a) {
@@ -559,21 +489,16 @@ void Service::handle_stream(const std::string& line, StreamEmitter& em) {
     n_errors_.fetch_add(1, std::memory_order_relaxed);
     serve_metrics().errors.add();
     sm.errors.add();
-    const Diagnostics d = diagnose_current_exception(
-        std::string("serve.stream.") + op_name(req.op), candidate_label(req));
-    json::Value::Object err;
-    err.emplace_back("code", error_code_name(d.code));
-    err.emplace_back("site", d.site);
-    err.emplace_back("candidate", d.candidate);
-    err.emplace_back("detail", d.detail);
-    em.error(error_envelope(req.id, json::Value(std::move(err))));
+    em.error(error_envelope(req.id, to_json(diagnose_current_exception(
+                                        std::string("serve.stream.") + op_name(req.op),
+                                        candidate_label(req)))));
   }
 }
 
 void Service::stream_wave1(const Request& req, StreamEmitter& em) {
   const TransientParams p = transient_params(req.body);
   if (!p.return_waveform)
-    throw InvalidParameter("stream: encoding 'wave1' requires return_waveform=true");
+    throw InvalidParameter("stream: streamed responses require return_waveform=true");
   const std::string id_json = req.id.write();
   n_evaluations_.fetch_add(1, std::memory_order_relaxed);
   serve_metrics().evaluations.add();

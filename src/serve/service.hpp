@@ -30,8 +30,22 @@
 #include "serve/frame.hpp"
 #include "serve/request.hpp"
 #include "serve/store.hpp"
+#include "spice/analysis.hpp"
 
 namespace ivory::serve {
+
+/// Engine setup of a "spice" transient: the parsed circuit, the TranSpec and
+/// the names of the recorded nodes. The buffered and streamed service paths
+/// and `ivory transient` all start here, so they run the same simulation.
+struct SpicePrep {
+  spice::Circuit ckt;
+  spice::TranSpec spec;
+  std::vector<std::string> names;  ///< names of the effective recorded nodes
+};
+
+/// Parses the netlist and resolves the recorded nodes. Throws when
+/// tstop/dt exceeds `max_samples`, or on a bad netlist or node name.
+SpicePrep prepare_spice(const TransientParams& p, std::size_t max_samples);
 
 struct ServiceOptions {
   std::size_t cache_capacity = 4096;  ///< entries across all shards
@@ -74,15 +88,14 @@ class Service {
   /// this concurrently.
   std::string handle_line(const std::string& line);
 
-  /// Streamed pipeline for one request line: emits HEADER/CHUNK/terminal
-  /// frames through `em` instead of returning a line. Never throws.
+  /// Streamed pipeline for one request line: emits wave1 HEADER/CHUNK/
+  /// terminal frames through `em` instead of returning a line. Never throws.
   ///
-  /// encoding "json" runs the full handle_line path (cache included) and
-  /// slices the response into CHUNKs. encoding "wave1" requires a transient
-  /// with return_waveform; it bypasses the result cache and streams samples
-  /// straight out of the engine, so the resident response footprint is
-  /// bounded by the chunk budget, not the waveform length. Cancel/deadline
-  /// mid-stream terminate with CANCEL_ACK / END{deadline_exceeded}.
+  /// Requires a transient with return_waveform. It bypasses the result
+  /// cache and streams samples straight out of the engine, so the resident
+  /// response footprint is bounded by the chunk budget, not the waveform
+  /// length. Cancel/deadline mid-stream terminate with CANCEL_ACK /
+  /// END{deadline_exceeded}.
   void handle_stream(const std::string& line, StreamEmitter& em);
 
   ServiceStats stats() const;

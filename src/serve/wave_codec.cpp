@@ -319,29 +319,22 @@ void StreamAssembler::on_frame(const Frame& f) {
       const json::Value* enc = h.find("encoding");
       if (enc == nullptr || !enc->is_string())
         throw StreamProtocolError("HEADER missing \"encoding\"");
-      encoding_ = enc->as_string();
-      if (encoding_ == "wave1") {
-        const json::Value* cols = h.find("columns");
-        const json::Value* ht = h.find("has_time");
-        if (cols == nullptr || !cols->is_array() || ht == nullptr || !ht->is_bool())
-          throw StreamProtocolError("wave1 HEADER missing columns/has_time");
-        n_cols_ = cols->as_array().size();
-        has_time_ = ht->as_bool();
-        dec_ = std::make_unique<Wave1Decoder>(n_cols_, has_time_);
-      } else if (encoding_ != "json") {
-        throw StreamProtocolError("HEADER names unknown encoding \"" + encoding_ + "\"");
-      }
+      if (enc->as_string() != "wave1")
+        throw StreamProtocolError("HEADER names unknown encoding \"" + enc->as_string() +
+                                  "\"");
+      const json::Value* cols = h.find("columns");
+      const json::Value* ht = h.find("has_time");
+      if (cols == nullptr || !cols->is_array() || ht == nullptr || !ht->is_bool())
+        throw StreamProtocolError("wave1 HEADER missing columns/has_time");
+      n_cols_ = cols->as_array().size();
+      has_time_ = ht->as_bool();
+      dec_ = std::make_unique<Wave1Decoder>(n_cols_, has_time_);
       saw_header_ = true;
       return;
     }
     case FrameType::Chunk: {
       if (!saw_header_) throw StreamProtocolError("CHUNK before HEADER");
-      ++chunks_;
-      if (dec_) {
-        dec_->decode_block(f.payload);
-      } else {
-        text_.append(f.payload);
-      }
+      dec_->decode_block(f.payload);
       return;
     }
     case FrameType::End: {
@@ -357,11 +350,7 @@ void StreamAssembler::on_frame(const Frame& f) {
         throw StreamProtocolError("END missing \"status\"");
       status_ = st->as_string();
       if (status_ == "ok") {
-        if (dec_) {
-          render_layout(e);
-        } else {
-          decoded_ = std::move(text_);
-        }
+        render_layout(e);
       } else {
         decoded_ = f.payload;
       }

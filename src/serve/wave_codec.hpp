@@ -177,12 +177,9 @@ class StreamAssembler {
 
   bool saw_header_ = false;
   bool done_ = false;
-  std::string encoding_;
   bool has_time_ = false;
   std::size_t n_cols_ = 0;
-  std::string text_;  ///< json-encoding accumulation
   std::unique_ptr<Wave1Decoder> dec_;
-  std::size_t chunks_ = 0;
   std::string status_;
   std::string decoded_;
 };

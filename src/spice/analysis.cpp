@@ -700,8 +700,10 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
       static metrics::Counter& symbolic =
           metrics::registry().counter("ivory.lu.symbolic_analyses");
       static metrics::Gauge& fill = metrics::registry().gauge("ivory.lu.fill_nnz");
-      LuCounters& by_kernel =
-          res.kernel == "banded" ? banded : res.kernel == "sparse" ? sparse_lu : dense;
+      const sparse::Kernel kernel = sparse::kernel_from_string(res.kernel);
+      LuCounters& by_kernel = kernel == sparse::Kernel::Banded   ? banded
+                              : kernel == sparse::Kernel::Sparse ? sparse_lu
+                                                                 : dense;
       by_kernel.factorizations.add(res.lu_factorizations);
       by_kernel.solves.add(res.steps_taken);
       symbolic.add(res.symbolic_analyses);

@@ -1,7 +1,8 @@
 // Shells the actual `ivory` binary (path injected via IVORY_CLI_BIN) and
-// checks the CLI contract: unknown subcommands and missing required flags
-// print usage to *stderr* and exit non-zero; stdout stays clean so pipelines
-// never see error text.
+// checks the CLI contract: unknown subcommands, missing required flags and
+// flags the request schema rejects print usage to *stderr* and exit 2;
+// failed evaluations exit 1; stdout stays clean so pipelines never see error
+// text.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -71,6 +72,38 @@ TEST(CliUsage, RuntimeFailureExits1WithoutUsageSpam) {
   const RunResult r = run_cli("sc --n 0 --m 1", "2>&1 1>/dev/null");
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_EQ(r.output.find("ivory explore"), std::string::npos);
+}
+
+// Flags go through the serve request schema, so an input the schema does not
+// understand is a usage error naming the field, never a silent default.
+struct StrictCase {
+  const char* args;
+  const char* field;  ///< must appear on stderr
+};
+
+TEST(CliUsage, SchemaViolationsExit2NamingTheField) {
+  for (const StrictCase& c : {StrictCase{"sc --n 3 --m 1 --cflyy 4u", "'cflyy'"},
+                              StrictCase{"sc --family bogus", "'family'"},
+                              StrictCase{"sc --n 2.7", "'n'"},
+                              StrictCase{"buck --inductor bogus", "'inductor'"},
+                              StrictCase{"dynamic --benchmark NOPE", "'benchmark'"},
+                              StrictCase{"pareto --density 5", "'density'"}}) {
+    const RunResult r = run_cli(c.args, "2>&1 1>/dev/null");
+    EXPECT_EQ(r.exit_code, 2) << c.args;
+    EXPECT_NE(r.output.find(c.field), std::string::npos) << c.args << ": " << r.output;
+    EXPECT_NE(r.output.find("ivory explore"), std::string::npos) << c.args;  // usage text
+    EXPECT_TRUE(run_cli(c.args, "2>/dev/null").output.empty()) << c.args;
+  }
+}
+
+TEST(CliUsage, DicksonFamilyIsEvaluatedNotReplacedByAuto) {
+  // --family dickson reaches the model, whose cap-rating check rejects the
+  // 3:1 design: an evaluation error (exit 1), not the auto family's table.
+  const RunResult r = run_cli("sc --n 3 --m 1 --family dickson", "2>&1 1>/dev/null");
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find("rating"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("ivory explore"), std::string::npos);
+  EXPECT_TRUE(run_cli("sc --n 3 --m 1 --family dickson", "2>/dev/null").output.empty());
 }
 
 TEST(CliUsage, BatchPropagatesResponsesToStdout) {

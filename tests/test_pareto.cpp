@@ -214,6 +214,25 @@ TEST_F(ParetoTest, WarmCacheRerunIsByteIdenticalAndAllHits) {
   EXPECT_EQ(core::to_json(warm).write_canonical(), core::to_json(cold).write_canonical());
 }
 
+TEST_F(ParetoTest, SweepReportDoesNotDependOnTheSimulationMemo) {
+  // A memo hit counts as a simulated survivor just like a fresh simulation,
+  // so a pareto reply's report bytes are the same cold or warm.
+  SystemParams sys;
+  sys.p_load_w = 20.0;
+  sys.area_max_m2 = 20e-6;
+  const FunnelSpec spec = FunnelSpec{}.scaled(0.3);
+
+  core::funnel_sim_cache_clear();
+  SweepReport cold;
+  const ParetoFront cold_front = core::funnel_explore(sys, spec, &cold);
+  ASSERT_GT(cold_front.stats.sim_cache_misses, 0u);
+  SweepReport warm;
+  const ParetoFront warm_front = core::funnel_explore(sys, spec, &warm);
+  ASSERT_EQ(warm_front.stats.sim_cache_misses, 0u);
+  EXPECT_EQ(warm.n_evaluated, cold.n_evaluated);
+  EXPECT_EQ(to_json(warm).write(), to_json(cold).write());
+}
+
 TEST_F(ParetoTest, ExploreOverloadSortsTheFrontierLikeExplore) {
   const SystemParams sys;
   FunnelSpec spec = small_spec();

@@ -6,8 +6,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -436,22 +436,28 @@ TEST(Serve, FaultedEvaluationIsNotCached) {
 // Scheduler: ordering, fairness bookkeeping, cancellation, deadlines.
 // ---------------------------------------------------------------------------
 
+/// The response lines a drained scheduler delivered into `dq`, in order.
+std::vector<std::string> delivered(DeliveryQueue& dq) {
+  dq.close_submit();
+  std::vector<std::string> lines;
+  for (std::string bytes; dq.next(bytes);) {
+    bytes.pop_back();  // the trailing newline
+    lines.push_back(std::move(bytes));
+  }
+  return lines;
+}
+
 TEST(Serve, SchedulerPreservesPerClientOrder) {
   Service svc;
   Scheduler::Options opt;
   opt.wave = 2;
   Scheduler sched(svc, opt);
   const int client = sched.open_client();
-  std::mutex mu;
-  std::vector<std::string> got;
-  for (int i = 0; i < 8; ++i) {
-    std::string line = R"({"op":"stats","id":)" + std::to_string(i) + "}";
-    sched.submit(client, std::move(line), [&](const std::string& r) {
-      std::lock_guard<std::mutex> lock(mu);
-      got.push_back(r);
-    });
-  }
+  DeliveryQueue dq;
+  for (int i = 0; i < 8; ++i)
+    sched.dispatch(client, R"({"op":"stats","id":)" + std::to_string(i) + "}", dq);
   sched.drain();
+  const std::vector<std::string> got = delivered(dq);
   ASSERT_EQ(got.size(), 8u);
   for (int i = 0; i < 8; ++i)
     EXPECT_DOUBLE_EQ(parsed(got[i]).find("id")->as_number(), i) << "position " << i;
@@ -464,18 +470,14 @@ TEST(Serve, SchedulerCancelsQueuedJob) {
   opt.start_paused = true;
   Scheduler sched(svc, opt);
   const int client = sched.open_client();
-  std::mutex mu;
-  std::vector<std::string> got;
-  const auto sink = [&](const std::string& r) {
-    std::lock_guard<std::mutex> lock(mu);
-    got.push_back(r);
-  };
-  sched.submit(client, R"({"op":"stats","id":1})", sink);
-  sched.submit(client, R"({"op":"stats","id":2})", sink);
+  DeliveryQueue dq;
+  sched.dispatch(client, R"({"op":"stats","id":1})", dq);
+  sched.dispatch(client, R"({"op":"stats","id":2})", dq);
   EXPECT_TRUE(sched.cancel(client, json::Value(2.0)));
   EXPECT_FALSE(sched.cancel(client, json::Value(99.0)));  // no such job
   sched.resume();
   sched.drain();
+  const std::vector<std::string> got = delivered(dq);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_TRUE(response_ok(got[0]));
   EXPECT_FALSE(response_ok(got[1]));
@@ -489,19 +491,15 @@ TEST(Serve, SchedulerExpiresDeadlinedJob) {
   opt.start_paused = true;
   Scheduler sched(svc, opt);
   const int client = sched.open_client();
-  std::mutex mu;
-  std::vector<std::string> got;
-  const auto sink = [&](const std::string& r) {
-    std::lock_guard<std::mutex> lock(mu);
-    got.push_back(r);
-  };
+  DeliveryQueue dq;
   // 1 ms deadline, held paused for 50 ms: expired before dispatch. The
   // deadline-free sibling must still evaluate.
-  sched.submit(client, R"({"op":"stats","id":1,"deadline_ms":1})", sink);
-  sched.submit(client, R"({"op":"stats","id":2})", sink);
+  sched.dispatch(client, R"({"op":"stats","id":1,"deadline_ms":1})", dq);
+  sched.dispatch(client, R"({"op":"stats","id":2})", dq);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   sched.resume();
   sched.drain();
+  const std::vector<std::string> got = delivered(dq);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_FALSE(response_ok(got[0]));
   EXPECT_EQ(error_code(got[0]), "deadline_exceeded");
@@ -668,6 +666,44 @@ TEST(Serve, ClientDroppingMidResponseDoesNotKillTheServer) {
   BlockingClient client(server.socket_path());
   client.send_line(request_mix()[0]);
   EXPECT_TRUE(response_ok(client.recv_line()));
+  server.stop();
+}
+
+TEST(Serve, LongRequestLineOverSocketMatchesHandleLine) {
+  // A ~0.55 MB request line (a 6500-stage RC ladder) arrives in many 4 KiB
+  // reads, and its reply is about as long: both newline scans must resume
+  // where they stopped, and the bytes must equal the in-process reply.
+  std::string netlist = "* rc ladder\nV1 node_00000 0 DC 1\n";
+  char buf[96];
+  for (int i = 1; i <= 6500; ++i) {
+    std::snprintf(buf, sizeof buf, "Rladder_segment_%05d node_%05d node_%05d 1\n", i, i - 1, i);
+    netlist += buf;
+    std::snprintf(buf, sizeof buf, "Cladder_segment_%05d node_%05d 0 1n\n", i, i);
+    netlist += buf;
+  }
+  netlist += ".end\n";
+  json::Value::Object o;
+  o.emplace_back("op", "transient");
+  o.emplace_back("id", 1);
+  o.emplace_back("topology", "spice");
+  o.emplace_back("netlist", netlist);
+  o.emplace_back("tstop", 1e-8);
+  o.emplace_back("dt", 1e-9);
+  const std::string line = json::Value(std::move(o)).write();
+  ASSERT_GE(line.size(), 512u * 1024u);
+
+  const std::string reference = Service().handle_line(line);
+  ASSERT_TRUE(response_ok(reference)) << reference.substr(0, 300);
+
+  ServerOptions opt;
+  opt.socket_path = "/tmp/ivory_test_longline_" + std::to_string(::getpid()) + ".sock";
+  Server server(std::move(opt));
+  server.start();
+  {
+    BlockingClient client(server.socket_path());
+    client.send_line(line);
+    EXPECT_EQ(client.recv_line(), reference);
+  }
   server.stop();
 }
 

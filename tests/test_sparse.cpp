@@ -174,6 +174,15 @@ TEST(SparseSelection, GridPicksBanded) {
   EXPECT_GT(res.factor_nnz, 0u);
 }
 
+TEST(SparseSelection, IrregularNetlistPicksSparse) {
+  // A random RC tree has no small bandwidth under any ordering, so `auto`
+  // picks the general sparse kernel — the regime where it beats banded
+  // (10-15x at a few thousand nodes); grids and ladders stay banded.
+  const spice::Circuit c = random_circuit(3, 500);
+  const spice::TranResult res = spice::transient(c, base_spec(sparse::Kernel::Auto));
+  EXPECT_EQ(res.kernel, "sparse");
+}
+
 TEST(SparseSelection, SmallCircuitStaysDense) {
   // n <= 48: the legacy dense path, byte for byte.
   const spice::Circuit c = ladder_circuit(10, false);

@@ -77,7 +77,7 @@ const std::string kSlowSpiceRequest =
     R"("tstop":4e-4,"dt":1.25e-10,"method":"be","uic":true,"record":["out"],)"
     R"("return_waveform":true})";
 
-/// A non-transient op, for the json-encoding streaming path.
+/// A non-transient op, answered as a plain line.
 const std::string kStaticRequest =
     R"({"op":"sc_static","id":5,"n":3,"m":1,"cfly":4e-6,"gtot":15e3,)"
     R"("fsw":80e6,"iload":20})";
@@ -238,28 +238,6 @@ TEST(Frame, OversizedLengthThrows) {
                InvalidParameter);
 }
 
-TEST(Frame, EmitterSplitsTextIntoChunkBudget) {
-  std::string bytes;
-  StreamEmitter em = capture_emitter(bytes);
-  em.set_chunk_bytes(7);
-  em.header("{}");
-  em.chunk_split(std::string(23, 'a'));  // 7+7+7+2 => 4 chunks
-  em.end(stream_status_payload("null", "ok"));
-  EXPECT_EQ(em.chunks_emitted(), 4u);
-  FrameDecoder dec;
-  dec.feed(bytes);
-  std::size_t chunks = 0, total = 0;
-  while (const auto f = dec.next()) {
-    if (f->type == FrameType::Chunk) {
-      EXPECT_LE(f->payload.size(), 7u);
-      ++chunks;
-      total += f->payload.size();
-    }
-  }
-  EXPECT_EQ(chunks, 4u);
-  EXPECT_EQ(total, 23u);
-}
-
 TEST(Frame, EmitterAbortReasons) {
   // Cancel flag -> Abort{Cancelled} before the next chunk.
   auto flag = std::make_shared<std::atomic<bool>>(false);
@@ -385,10 +363,14 @@ TEST(Wave1, DecoderRejectsMalformedBlocks) {
 }
 
 TEST(Wave1, AssemblerEnforcesFrameSequencing) {
-  const std::string header = R"({"id":1,"encoding":"json"})";
+  const std::string header = R"({"id":1,"encoding":"wave1","columns":["v"],"has_time":false})";
+  Wave1Encoder enc(1, /*has_time=*/false);
+  const double v = 0.5;
+  enc.add_row(0.0, &v, 1);
+  const std::string block = enc.encode_block();
   {
     StreamAssembler a;
-    EXPECT_THROW(a.on_frame(Frame{FrameType::Chunk, "x"}), StreamProtocolError);
+    EXPECT_THROW(a.on_frame(Frame{FrameType::Chunk, block}), StreamProtocolError);
   }
   {
     StreamAssembler a;
@@ -396,12 +378,19 @@ TEST(Wave1, AssemblerEnforcesFrameSequencing) {
     EXPECT_THROW(a.on_frame(Frame{FrameType::Header, header}), StreamProtocolError);
   }
   {
+    // The only encoding is wave1: a json HEADER is a protocol error.
+    StreamAssembler a;
+    EXPECT_THROW(a.on_frame(Frame{FrameType::Header, R"({"id":1,"encoding":"json"})"}),
+                 StreamProtocolError);
+  }
+  {
     StreamAssembler a;
     a.on_frame(Frame{FrameType::Header, header});
-    a.on_frame(Frame{FrameType::Chunk, "{}"});
-    a.on_frame(Frame{FrameType::End, stream_status_payload("1", "ok")});
+    a.on_frame(Frame{FrameType::Chunk, block});
+    a.on_frame(Frame{FrameType::End, R"({"id":1,"status":"ok","rows":1,"layout":["[",0,"]"]})"});
     EXPECT_TRUE(a.done());
-    EXPECT_THROW(a.on_frame(Frame{FrameType::Chunk, "x"}), StreamProtocolError);
+    EXPECT_EQ(a.decoded(), "[0.5]");
+    EXPECT_THROW(a.on_frame(Frame{FrameType::Chunk, block}), StreamProtocolError);
   }
 }
 
@@ -502,7 +491,7 @@ std::size_t scan_all(ResponseScanner& sc, std::string_view bytes,
 
 TEST(Scanner, CountsLinesAndWholeStreamsAtAnyFeedSize) {
   std::string stream(kStreamMagic);
-  encode_frame(stream, FrameType::Header, R"({"id":2,"encoding":"json"})");
+  encode_frame(stream, FrameType::Header, R"({"id":2,"encoding":"wave1"})");
   encode_frame(stream, FrameType::Chunk, "{\"ok\":true}");
   encode_frame(stream, FrameType::End, stream_status_payload("2", "ok"));
   const std::string bytes = "{\"id\":1}\n" + stream + "{\"id\":3}\n";
@@ -542,24 +531,32 @@ TEST(Scanner, WithholdsPartialFrameAndReportsMidStream) {
 
 // ---------------------------------------------------------------------------
 // Byte-identity: decoded stream == non-streaming line (service level,
-// chunk sizes x encodings x request kinds).
+// chunk sizes x request kinds).
 // ---------------------------------------------------------------------------
 
-TEST(StreamIdentity, ServiceLevelAcrossChunkSizesAndEncodings) {
+TEST(StreamIdentity, ServiceLevelAcrossChunkSizes) {
   Service svc;
-  for (const std::string& request :
-       {kBehaviouralRequest, kSpiceRequest, kStaticRequest}) {
+  for (const std::string& request : {kBehaviouralRequest, kSpiceRequest}) {
     const std::string reference = svc.handle_line(request);
-    const bool has_waveform = request != kStaticRequest;
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
-      EXPECT_EQ(service_stream(svc, with_stream(request, "json", chunk)), reference)
-          << "encoding=json chunk=" << chunk;
-      if (has_waveform) {
-        EXPECT_EQ(service_stream(svc, with_stream(request, "wave1", chunk)), reference)
-            << "encoding=wave1 chunk=" << chunk;
-      }
-    }
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}})
+      EXPECT_EQ(service_stream(svc, with_stream(request, "wave1", chunk)), reference)
+          << "chunk=" << chunk;
   }
+}
+
+TEST(StreamIdentity, OnlyWave1EncodingIsAccepted) {
+  // "json" streaming is gone: both paths answer bad_request naming the field.
+  Service svc;
+  const json::Value buffered =
+      json::Value::parse(svc.handle_line(with_stream(kStaticRequest, "json", 64)));
+  EXPECT_EQ(buffered.find("error")->find("code")->as_string(), "bad_request");
+  EXPECT_NE(buffered.find("error")->find("detail")->as_string().find("encoding"),
+            std::string::npos);
+  const json::Value streamed = json::Value::parse(
+      service_stream(svc, with_stream(kSpiceRequest, "json", 64), "error"));
+  EXPECT_EQ(streamed.find("error")->find("code")->as_string(), "bad_request");
+  EXPECT_NE(streamed.find("error")->find("detail")->as_string().find("encoding"),
+            std::string::npos);
 }
 
 TEST(StreamIdentity, Wave1BypassesResultCache) {
@@ -613,9 +610,6 @@ TEST(StreamIdentity, SocketLevelAcrossChunkSizesAndThreadCounts) {
         StreamAssembler wave = client_stream(client, with_stream(kSpiceRequest, "wave1", chunk));
         EXPECT_EQ(wave.status(), "ok") << wave.decoded();
         EXPECT_EQ(wave.decoded(), reference_plain)
-            << "threads=" << threads << " chunk=" << chunk;
-        StreamAssembler js = client_stream(client, with_stream(kSpiceRequest, "json", chunk));
-        EXPECT_EQ(js.decoded(), reference_plain)
             << "threads=" << threads << " chunk=" << chunk;
       }
       // Behavioural wave1 too (single column, no time axis).
@@ -721,13 +715,11 @@ TEST(StreamCancel, MidStreamCancelFreesTheOnlyWaveSlot) {
   });
 
   const int client = sched.open_client();
-  sched.submit_stream(client, with_stream(kSlowSpiceRequest, "wave1", 1024),
-                      dq.open_stream());
+  sched.dispatch(client, with_stream(kSlowSpiceRequest, "wave1", 1024), dq);
   std::this_thread::sleep_for(200ms);  // let the solve stream some chunks
   EXPECT_TRUE(sched.cancel(client, json::Value::parse("4")));
   // The slot must come free: a second stream on the same lane completes.
-  sched.submit_stream(client, with_stream(kSpiceRequest, "wave1", 512),
-                      dq.open_stream());
+  sched.dispatch(client, with_stream(kSpiceRequest, "wave1", 512), dq);
   sched.drain();
   sched.close_client(client);
   dq.close_submit();

@@ -13,12 +13,16 @@
 //   ivory batch     [--repeat 2 --threads 4]  < requests.ndjson
 //   ivory serve     --socket /tmp/ivory.sock [--threads 4]
 //
-// Numeric flags accept SPICE suffixes (4u, 15k, 80meg, 20m, ...). Areas are
-// in mm^2 (e.g. --area 20).
+// Flags go through the serve request schema: `--a-b value` becomes the body
+// member "a_b":"value", so `ivory sc --n 3` and {"op":"sc_static","n":3}
+// share one validation. Numeric flags accept SPICE suffixes (4u, 15k, 80meg,
+// 20m, ...). Areas are in mm^2 (e.g. --area 20).
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,67 +43,75 @@
 #include "serve/supervisor.hpp"
 #include "serve/wave_codec.hpp"
 
-#include <chrono>
-
 using namespace ivory;
 
 namespace {
 
-/// Command-line misuse (as opposed to a failed evaluation): main prints the
-/// message plus the usage text to stderr and exits 2.
-class UsageError : public InvalidParameter {
- public:
-  explicit UsageError(const std::string& what) : InvalidParameter(what) {}
-};
+using serve::FieldReader;
+using serve::SchemaError;
 
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    if (first < argc && (argc - first) % 2 != 0)
-      throw UsageError("every flag needs a value");
-    for (int i = first; i + 1 < argc; i += 2) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) throw UsageError("flags must start with --: " + key);
-      kv_[key.substr(2)] = argv[i + 1];
+/// The flags of one invocation as a request body: `--a-b value` becomes the
+/// string member "a_b":"value" (a repeated flag keeps its last value).
+json::Value flags_body(int argc, char** argv) {
+  if ((argc - 2) % 2 != 0) throw SchemaError("every flag needs a value");
+  json::Value body{json::Value::Object{}};
+  for (int i = 2; i < argc; i += 2) {
+    std::string key = argv[i];
+    if (key.size() <= 2 || key.rfind("--", 0) != 0)
+      throw SchemaError("flags must start with --: " + key);
+    key.erase(0, 2);
+    std::replace(key.begin(), key.end(), '-', '_');
+    body.set(std::move(key), std::string(argv[i + 1]));
+  }
+  return body;
+}
+
+/// Moves the CLI-only flags `keys` (files, output modes) out of `body` into
+/// an object of their own, so an op schema reads the rest and a separate
+/// FieldReader reads these.
+json::Value split(json::Value& body, std::initializer_list<std::string_view> keys) {
+  json::Value::Object& members = body.as_object();
+  json::Value::Object out;
+  for (auto it = members.begin(); it != members.end();) {
+    if (std::find(keys.begin(), keys.end(), it->first) == keys.end()) {
+      ++it;
+    } else {
+      out.push_back(std::move(*it));
+      it = members.erase(it);
     }
   }
+  return json::Value(std::move(out));
+}
 
-  double num(const std::string& key, double fallback) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? fallback : spice::parse_spice_value(it->second);
-  }
-  int integer(const std::string& key, int fallback) const {
-    return static_cast<int>(num(key, fallback));
-  }
-  std::string str(const std::string& key, const std::string& fallback) const {
-    const auto it = kv_.find(key);
-    return it == kv_.end() ? fallback : it->second;
-  }
-  std::string require_str(const std::string& key) const {
-    const auto it = kv_.find(key);
-    if (it == kv_.end()) throw UsageError("missing required flag --" + key);
-    return it->second;
-  }
-  bool has(const std::string& key) const { return kv_.count(key) != 0; }
+/// A flag without a default.
+std::string required(FieldReader& r, const char* key) {
+  if (!r.has(key)) throw SchemaError(std::string("missing required flag --") + key);
+  return r.str(key, "");
+}
 
- private:
-  std::map<std::string, std::string> kv_;
-};
+/// A size or count flag.
+std::size_t count(FieldReader& r, std::string_view key, int fallback) {
+  const int v = r.integer(key, fallback);
+  if (v < 0) r.fail(key, "must be >= 0");
+  return static_cast<std::size_t>(v);
+}
 
-tech::CapKind cap_kind_from(const std::string& s) {
-  if (s == "mos") return tech::CapKind::MosCap;
-  if (s == "mim") return tech::CapKind::Mim;
-  if (s == "trench") return tech::CapKind::DeepTrench;
-  throw InvalidParameter("unknown capacitor kind '" + s + "' (mos|mim|trench)");
+/// --cache, --cache-dir and --store-max-bytes, shared by batch and serve.
+serve::ServiceOptions service_options(FieldReader& r) {
+  serve::ServiceOptions o;
+  o.cache_capacity = count(r, "cache", static_cast<int>(o.cache_capacity));
+  o.cache_dir = r.str("cache_dir", "");
+  const double store = r.num("store_max_bytes", static_cast<double>(o.store_max_bytes));
+  if (!(store >= 0.0 && store < 0x1p64)) r.fail("store_max_bytes", "must be a byte count");
+  o.store_max_bytes = static_cast<std::uint64_t>(store);
+  return o;
 }
 
 /// `--metrics-out FILE`: dump the process metrics registry plus the trace
 /// ring to FILE as one canonical JSON document once the command has run.
 /// `{"metrics": <registry snapshot>, "trace": <chrome trace_event doc>}` —
 /// the "trace" member can be pasted into chrome://tracing as-is.
-void write_metrics_out(const Args& a) {
-  const std::string path = a.str("metrics-out", "");
-  if (path.empty()) return;
+void write_metrics_out(const std::string& path) {
   json::Value::Object o;
   o.emplace_back("metrics", metrics::registry().to_json());
   o.emplace_back("trace", json::Value::parse(trace::to_chrome_json()));
@@ -108,28 +120,25 @@ void write_metrics_out(const Args& a) {
   out << json::Value(std::move(o)).write_canonical() << "\n";
 }
 
-core::SystemParams system_from(const Args& a) {
-  core::SystemParams sys;
-  sys.vin_v = a.num("vin", sys.vin_v);
-  sys.vout_v = a.num("vout", sys.vout_v);
-  sys.p_load_w = a.num("power", sys.p_load_w);
-  sys.area_max_m2 = a.num("area", sys.area_max_m2 * 1e6) * 1e-6;  // mm^2.
-  sys.node = tech::node_from_string(a.str("node", "32"));
-  sys.cap_kind = cap_kind_from(a.str("cap", "trench"));
-  sys.max_distributed = a.integer("max-dist", sys.max_distributed);
-  sys.ripple_max_v = a.num("ripple", sys.ripple_max_v);
-  return sys;
+void print_skips(const SweepReport& report, const char* what) {
+  if (report.skips.empty()) return;
+  std::printf("\n%zu of %zu %s quarantined:\n", report.skips.size(), report.n_evaluated, what);
+  for (const Diagnostics& d : report.skips) std::printf("  - %s\n", d.to_string().c_str());
 }
 
-int cmd_explore(const Args& a) {
-  const core::SystemParams sys = system_from(a);
+int cmd_explore(json::Value& body) {
+  const serve::ExploreParams p = serve::explore_params(body);
+  const core::SystemParams& sys = p.sys;
   std::printf("exploring: %.2f V -> %.2f V, %.1f W, %.1f mm^2, %s, %s caps\n\n", sys.vin_v,
               sys.vout_v, sys.p_load_w, sys.area_max_m2 * 1e6, tech::node_name(sys.node),
               tech::cap_kind_name(sys.cap_kind));
   TextTable t({"design", "dist", "eff (%)", "ripple (mV)", "f_sw (MHz)", "ilv", "area (mm^2)",
                "feasible"});
   SweepReport report;
-  for (const core::DseResult& r : core::explore(sys, core::OptTarget::Efficiency, &report)) {
+  std::vector<core::DseResult> results = core::explore(sys, p.target, &report);
+  if (p.top_k > 0 && results.size() > static_cast<std::size_t>(p.top_k))
+    results.resize(static_cast<std::size_t>(p.top_k));
+  for (const core::DseResult& r : results) {
     t.add_row({r.label.empty() ? core::topology_name(r.topology) : r.label,
                std::to_string(r.n_distributed), TextTable::num(r.efficiency * 100, 3),
                TextTable::num(r.ripple_pp_v * 1e3, 3), TextTable::num(r.f_sw_hz / 1e6, 3),
@@ -137,49 +146,35 @@ int cmd_explore(const Args& a) {
                r.feasible ? "yes" : "no"});
   }
   std::printf("%s", t.render().c_str());
-  if (!report.skips.empty()) {
-    std::printf("\n%zu of %zu candidates quarantined:\n", report.skips.size(),
-                report.n_evaluated);
-    for (const Diagnostics& d : report.skips)
-      std::printf("  - %s\n", d.to_string().c_str());
-  }
-  write_metrics_out(a);
+  print_skips(report, "candidates");
   return 0;
 }
 
-int cmd_pareto(const Args& a) {
-  const core::SystemParams sys = system_from(a);
-  core::FunnelSpec spec;
-  const double density = a.num("density", 1.0);
-  if (!(density > 0.0)) throw UsageError("--density must be > 0");
-  spec = spec.scaled(density);
-  spec.front_cap = static_cast<std::size_t>(a.integer("front-cap", static_cast<int>(spec.front_cap)));
-  if (spec.front_cap < 1) throw UsageError("--front-cap must be >= 1");
-  spec.simulate = a.integer("simulate", 1) != 0;
-  const int top_k = a.integer("top-k", 0);
-  if (a.has("top-k") && top_k < 1) throw UsageError("--top-k must be >= 1 (omit to show all)");
-
+int cmd_pareto(json::Value& body) {
+  const serve::ParetoParams p = serve::pareto_params(body);
+  const core::SystemParams& sys = p.sys;
   std::printf("funnel: %.2f V -> %.2f V, %.1f W, %.1f mm^2, %s, %s caps (density %.2f)\n\n",
               sys.vin_v, sys.vout_v, sys.p_load_w, sys.area_max_m2 * 1e6,
-              tech::node_name(sys.node), tech::cap_kind_name(sys.cap_kind), density);
+              tech::node_name(sys.node), tech::cap_kind_name(sys.cap_kind), p.density);
   SweepReport report;
-  const core::ParetoFront front = core::funnel_explore(sys, spec, &report);
+  const core::ParetoFront front = core::funnel_explore(sys, p.spec, &report);
 
   TextTable t({"#", "design", "dist", "ivr%", "eff (%)", "area (mm^2)", "ripple (mV)",
                "droop (mV)", "sim"});
   std::size_t shown = 0;
-  for (const core::ParetoPoint& p : front.points) {
-    if (top_k > 0 && shown == static_cast<std::size_t>(top_k)) break;
+  for (const core::ParetoPoint& pt : front.points) {
+    if (p.top_k > 0 && shown == static_cast<std::size_t>(p.top_k)) break;
     ++shown;
     t.add_row({std::to_string(shown),
-               p.design.label.empty() ? core::topology_name(p.design.topology) : p.design.label,
-               std::to_string(p.design.n_distributed),
-               std::to_string(static_cast<int>(p.ivr_load_frac * 100.0 + 0.5)),
-               TextTable::num(p.screen.efficiency * 100, 3),
-               TextTable::num(p.screen.area_m2 * 1e6, 3),
-               TextTable::num(p.screen.ripple_pp_v * 1e3, 3),
-               p.simulated ? TextTable::num(p.droop_pp_v * 1e3, 3) : "-",
-               p.simulated ? (p.sim_cached ? "cached" : "yes") : "no"});
+               pt.design.label.empty() ? core::topology_name(pt.design.topology)
+                                       : pt.design.label,
+               std::to_string(pt.design.n_distributed),
+               std::to_string(static_cast<int>(pt.ivr_load_frac * 100.0 + 0.5)),
+               TextTable::num(pt.screen.efficiency * 100, 3),
+               TextTable::num(pt.screen.area_m2 * 1e6, 3),
+               TextTable::num(pt.screen.ripple_pp_v * 1e3, 3),
+               pt.simulated ? TextTable::num(pt.droop_pp_v * 1e3, 3) : "-",
+               pt.simulated ? (pt.sim_cached ? "cached" : "yes") : "no"});
   }
   std::printf("%s\n", t.render().c_str());
   std::printf("screened %llu candidates (%llu feasible) in %llu blocks -> frontier %llu "
@@ -193,35 +188,13 @@ int cmd_pareto(const Args& a) {
                   : 0.0,
               static_cast<unsigned long long>(front.stats.sim_cache_hits),
               static_cast<unsigned long long>(front.stats.sim_cache_misses));
-  if (!report.skips.empty()) {
-    std::printf("\n%zu of %zu candidates quarantined:\n", report.skips.size(),
-                report.n_evaluated);
-    for (const Diagnostics& d : report.skips)
-      std::printf("  - %s\n", d.to_string().c_str());
-  }
-  write_metrics_out(a);
+  print_skips(report, "candidates");
   return 0;
 }
 
-int cmd_sc(const Args& a) {
-  core::ScDesign d;
-  d.node = tech::node_from_string(a.str("node", "32"));
-  d.cap_kind = cap_kind_from(a.str("cap", "trench"));
-  d.n = a.integer("n", 2);
-  d.m = a.integer("m", 1);
-  const std::string fam = a.str("family", "auto");
-  d.family = fam == "ladder"           ? core::ScFamily::Ladder
-             : fam == "series-parallel" ? core::ScFamily::SeriesParallel
-                                        : core::ScFamily::Auto;
-  d.c_fly_f = a.num("cfly", 1e-6);
-  d.c_out_f = a.num("cout", 0.2e-6);
-  d.g_tot_s = a.num("gtot", 5000.0);
-  d.f_sw_hz = a.num("fsw", 80e6);
-  d.n_interleave = a.integer("interleave", 8);
-  const double vin = a.num("vin", 3.3);
-  const double i_load = a.num("iload", 10.0);
-
-  const core::ScAnalysis r = core::analyze_sc(d, vin, i_load);
+int cmd_sc(json::Value& body) {
+  const serve::ScStaticParams p = serve::sc_static_params(body);
+  const core::ScAnalysis r = core::analyze_sc(p.design, p.vin_v, p.i_load_a);
   TextTable t({"metric", "value"});
   t.add_row({"ideal output", TextTable::num(r.vout_ideal_v, 4) + " V"});
   t.add_row({"actual output", TextTable::num(r.vout_v, 4) + " V"});
@@ -238,37 +211,25 @@ int cmd_sc(const Args& a) {
   t.add_row({"area", TextTable::num(r.area_m2 * 1e6, 4) + " mm^2"});
   std::printf("%s", t.render().c_str());
 
-  const double vtarget = a.num("regulate", 0.0);
-  if (vtarget > 0.0) {
-    const core::ScRegulated reg = core::analyze_sc_regulated(d, vin, vtarget, i_load);
+  if (p.regulate_v > 0.0) {
+    const core::ScRegulated reg =
+        core::analyze_sc_regulated(p.design, p.vin_v, p.regulate_v, p.i_load_a);
     if (reg.feasible)
-      std::printf("\nregulated to %.3f V: eff %.2f %% at f_sw %.2f MHz\n", vtarget,
+      std::printf("\nregulated to %.3f V: eff %.2f %% at f_sw %.2f MHz\n", p.regulate_v,
                   reg.analysis.efficiency * 100, reg.f_sw_used_hz / 1e6);
     else
-      std::printf("\nregulation to %.3f V infeasible (past the cliff or FSL floor)\n", vtarget);
+      std::printf("\nregulation to %.3f V infeasible (past the cliff or FSL floor)\n",
+                  p.regulate_v);
   }
   return 0;
 }
 
-int cmd_buck(const Args& a) {
-  core::BuckDesign d;
-  d.node = tech::node_from_string(a.str("node", "32"));
-  d.cap_kind = cap_kind_from(a.str("cap", "trench"));
-  const std::string ind = a.str("inductor", "interposer");
-  d.inductor = ind == "smt"        ? tech::InductorKind::SurfaceMount
-               : ind == "magnetic" ? tech::InductorKind::MagneticFilm
-                                   : tech::InductorKind::IntegratedInterposer;
-  d.l_per_phase_h = a.num("l", 5e-9);
-  d.f_sw_hz = a.num("fsw", 100e6);
-  d.n_phases = a.integer("phases", 4);
-  d.w_high_m = a.num("whs", 0.08);
-  d.w_low_m = a.num("wls", 0.10);
-  d.c_out_f = a.num("cout", 1e-6);
-  const core::BuckAnalysis r =
-      core::analyze_buck(d, a.num("vin", 3.3), a.num("vout", 1.0), a.num("iload", 10.0));
+int cmd_buck(json::Value& body) {
+  const serve::BuckStaticParams p = serve::buck_static_params(body);
+  const core::BuckAnalysis r = core::analyze_buck(p.design, p.vin_v, p.vout_v, p.i_load_a);
   TextTable t({"metric", "value"});
   t.add_row({"duty", TextTable::num(r.duty, 4)});
-  t.add_row({"L_eff / L0", TextTable::num(r.l_eff_h / d.l_per_phase_h, 4)});
+  t.add_row({"L_eff / L0", TextTable::num(r.l_eff_h / p.design.l_per_phase_h, 4)});
   t.add_row({"efficiency", TextTable::num(r.efficiency * 100, 4) + " %"});
   t.add_row({"inductor ripple/phase", TextTable::si(r.i_ripple_phase_a, "A")});
   t.add_row({"output ripple p-p", TextTable::si(r.ripple_pp_v, "V")});
@@ -281,14 +242,12 @@ int cmd_buck(const Args& a) {
   return 0;
 }
 
-int cmd_topology(const Args& a) {
-  const int n = a.integer("n", 2);
-  const int m = a.integer("m", 1);
-  const std::string fam = a.str("family", "auto");
-  const core::ScFamily family = fam == "ladder"           ? core::ScFamily::Ladder
-                                : fam == "series-parallel" ? core::ScFamily::SeriesParallel
-                                : fam == "dickson"          ? core::ScFamily::Dickson
-                                                           : core::ScFamily::Auto;
+int cmd_topology(json::Value& body) {
+  FieldReader r(body, "topology");
+  const int n = r.integer("n", 2);
+  const int m = r.integer("m", 1);
+  const core::ScFamily family = serve::sc_family_from(r);
+  r.finish();
   const core::ScTopology topo = core::make_topology(n, m, family);
   const core::ChargeVectors cv = core::charge_vectors(topo);
   const std::vector<double> stress = core::switch_stress_ratios(topo);
@@ -311,13 +270,14 @@ int cmd_topology(const Args& a) {
   return 0;
 }
 
-int cmd_dynamic(const Args& a) {
-  const core::SystemParams sys = system_from(a);
-  const std::string bname = a.str("benchmark", "CFD");
-  workload::Benchmark bench = workload::Benchmark::CFD;
-  for (workload::Benchmark b : workload::kAllBenchmarks)
-    if (bname == workload::benchmark_name(b)) bench = b;
-  const int dist = a.integer("dist", 4);
+int cmd_dynamic(json::Value& body) {
+  FieldReader r(body, "dynamic");
+  const core::SystemParams sys = serve::system_from(r);
+  const workload::Benchmark bench = serve::benchmark_from(r, "CFD");
+  const int dist = r.integer("dist", 4);
+  if (dist < 1) r.fail("dist", "must be >= 1");
+  const double dt = r.num("dt", 2e-9), dur = r.num("duration", 60e-6);
+  r.finish();
 
   const core::DseResult ivr =
       core::optimize_topology(sys, core::IvrTopology::SwitchedCapacitor, dist);
@@ -325,7 +285,6 @@ int cmd_dynamic(const Args& a) {
   std::printf("design: %s x%d distributed, %d-way interleaved, f_sw %.1f MHz\n",
               ivr.label.c_str(), dist, ivr.n_interleave, ivr.f_sw_hz / 1e6);
 
-  const double dt = a.num("dt", 2e-9), dur = a.num("duration", 60e-6);
   const auto traces = workload::generate_gpu_traces(bench, 4, sys.p_load_w / 4.0, dur, dt);
   const workload::DigitalLoadModel load = workload::DigitalLoadModel::from_average_power(
       sys.p_load_w / 4.0, sys.vout_v, 1e9, 0.2);
@@ -342,64 +301,44 @@ int cmd_dynamic(const Args& a) {
   const BoxStats b = box_stats(tail);
   std::printf("%s supply voltage (one domain): mean %.4f V, p-p %.1f mV, "
               "[min %.4f | q1 %.4f | med %.4f | q3 %.4f | max %.4f]\n",
-              bname.c_str(), mean(tail), peak_to_peak(tail) * 1e3, b.minimum, b.q1, b.median,
-              b.q3, b.maximum);
+              workload::benchmark_name(bench), mean(tail), peak_to_peak(tail) * 1e3,
+              b.minimum, b.q1, b.median, b.q3, b.maximum);
   return 0;
 }
 
-int cmd_scenario(const Args& a) {
-  const core::SystemParams sys = system_from(a);
-  scenario::ScenarioSpec spec;
-  const std::string preset = a.str("preset", "gpu-dvfs-step");
-  spec.states = workload::residency_preset(preset);
-  spec.name = preset;
-
-  const std::string topo_name = a.str("topology", "sc");
-  core::IvrTopology topo = core::IvrTopology::SwitchedCapacitor;
-  if (topo_name == "sc") topo = core::IvrTopology::SwitchedCapacitor;
-  else if (topo_name == "buck") topo = core::IvrTopology::Buck;
-  else if (topo_name == "ldo") topo = core::IvrTopology::LinearRegulator;
-  else if (topo_name == "dldo") topo = core::IvrTopology::DigitalLdo;
-  else throw UsageError("unknown --topology '" + topo_name + "' (sc|buck|ldo|dldo)");
-
-  const workload::Benchmark bench = workload::benchmark_from_string(a.str("benchmark", "CFD"));
-  const std::string delivery = a.str("delivery", "ivr");
-  if (delivery == "ivr" || delivery == "vrm") {
-    scenario::DomainSpec dom;
-    dom.name = "core";
-    dom.power_frac = 1.0;
-    dom.delivery = scenario::delivery_from_string(delivery);
-    dom.benchmark = bench;
-    spec.domains = {dom};
-  } else if (delivery == "hybrid") {
+int cmd_scenario(json::Value& body) {
+  // --delivery ivr|vrm|hybrid and --benchmark become the "domains" array.
+  const json::Value cli = split(body, {"delivery", "benchmark"});
+  FieldReader c(cli, "scenario");
+  const std::string delivery = c.str("delivery", "ivr");
+  const std::string benchmark = c.str("benchmark", "CFD");
+  const auto domain = [&benchmark](const char* name, double power_frac, const char* via) {
+    json::Value::Object d;
+    d.emplace_back("name", name);
+    d.emplace_back("power_frac", power_frac);
+    d.emplace_back("delivery", via);
+    d.emplace_back("benchmark", benchmark);
+    return json::Value(std::move(d));
+  };
+  json::Value::Array domains;
+  if (delivery == "hybrid") {
     // FlexWatts-style split: the latency-critical core domain rides the
     // on-chip IVR, the uncore stays on the board VRM rail.
-    scenario::DomainSpec core_dom, uncore_dom;
-    core_dom.name = "core";
-    core_dom.power_frac = 0.7;
-    core_dom.delivery = scenario::Delivery::OnChipIvr;
-    core_dom.benchmark = bench;
-    uncore_dom.name = "uncore";
-    uncore_dom.power_frac = 0.3;
-    uncore_dom.delivery = scenario::Delivery::OffChipVrm;
-    uncore_dom.benchmark = bench;
-    spec.domains = {core_dom, uncore_dom};
+    domains = {domain("core", 0.7, "ivr"), domain("uncore", 0.3, "vrm")};
   } else {
-    throw UsageError("unknown --delivery '" + delivery + "' (ivr|vrm|hybrid)");
+    domains = {domain("core", 1.0, delivery.c_str())};
   }
-
-  spec.f_nom_hz = a.num("f-nom", spec.f_nom_hz);
-  spec.duration_s = a.num("duration", spec.duration_s);
-  spec.dt_s = a.num("dt", spec.dt_s);
-  spec.seed = static_cast<std::uint64_t>(a.integer("seed", 1));
-  const int dist = a.integer("dist", 4);
+  // Appended, not set: a --domains flag would come first and fail the schema.
+  body.as_object().emplace_back("domains", std::move(domains));
+  if (!body.find("preset")) body.set("preset", "gpu-dvfs-step");
+  const serve::ScenarioEvalParams p = serve::scenario_eval_params(body);
 
   std::printf("scenario '%s': %zu states x %zu domains, %s IVR x%d, delivery %s\n\n",
-              spec.name.c_str(), spec.states.size(), spec.domains.size(),
-              core::topology_name(topo), dist, delivery.c_str());
+              p.spec.name.c_str(), p.spec.states.size(), p.spec.domains.size(),
+              core::topology_name(p.topology), p.n_distributed, delivery.c_str());
   SweepReport report;
   const scenario::ScenarioReport res =
-      scenario::evaluate_scenario(sys, topo, dist, spec, &report);
+      scenario::evaluate_scenario(p.sys, p.topology, p.n_distributed, p.spec, &report);
   if (res.has_ivr)
     std::printf("IVR design: %s, f_sw %.1f MHz, area %.3f mm^2\n",
                 res.design.label.empty() ? core::topology_name(res.design.topology)
@@ -407,43 +346,34 @@ int cmd_scenario(const Args& a) {
                 res.design.f_sw_hz / 1e6, res.design.area_m2 * 1e6);
   TextTable t({"domain", "state", "delivery", "res (%)", "V", "f (GHz)", "I (A)", "eff (%)",
                "droop (mV)"});
-  for (const scenario::StateEval& c : res.cells)
-    t.add_row({c.domain, c.state, c.gated ? "gated" : scenario::delivery_name(c.delivery),
-               TextTable::num(c.residency * 100, 3), TextTable::num(c.v_v, 3),
-               TextTable::num(c.f_hz / 1e9, 3), TextTable::num(c.i_avg_a, 3),
-               TextTable::num(c.efficiency * 100, 3),
-               TextTable::num(c.droop_pp_v * 1e3, 3)});
+  for (const scenario::StateEval& cell : res.cells)
+    t.add_row({cell.domain, cell.state,
+               cell.gated ? "gated" : scenario::delivery_name(cell.delivery),
+               TextTable::num(cell.residency * 100, 3), TextTable::num(cell.v_v, 3),
+               TextTable::num(cell.f_hz / 1e9, 3), TextTable::num(cell.i_avg_a, 3),
+               TextTable::num(cell.efficiency * 100, 3),
+               TextTable::num(cell.droop_pp_v * 1e3, 3)});
   std::printf("%s", t.render().c_str());
   std::printf("\nresidency-weighted: eff %.2f %%, P_out %.2f W, P_in %.2f W, "
               "worst droop %.1f mV%s\n",
               res.weighted_efficiency * 100, res.p_out_avg_w, res.p_in_avg_w,
               res.worst_droop_pp_v * 1e3, res.complete ? "" : " (incomplete)");
-  if (!report.skips.empty()) {
-    std::printf("\n%zu of %zu cells quarantined:\n", report.skips.size(), report.n_evaluated);
-    for (const Diagnostics& d : report.skips)
-      std::printf("  - %s\n", d.to_string().c_str());
-  }
-  write_metrics_out(a);
+  print_skips(report, "cells");
   return 0;
 }
 
-int cmd_pds(const Args& a) {
-  const core::SystemParams sys = system_from(a);
+int cmd_pds(json::Value& body) {
+  const serve::PdsParams p = serve::pds_params(body);
   const pdn::PdnParams pdn_params = pdn::PdnParams::gpuvolt_default();
-  const double v_nom = a.num("vnom", 0.85);
-  const double guard_off = a.num("guard-off", 0.110);
-  const double guard_ivr = a.num("guard-ivr", 0.025);
-  const int dist = a.integer("dist", 4);
-
   const core::DseResult ivr =
-      core::optimize_topology(sys, core::IvrTopology::SwitchedCapacitor, dist);
+      core::optimize_topology(p.sys, core::IvrTopology::SwitchedCapacitor, p.n_distributed);
   require(ivr.feasible, "no feasible IVR design for these constraints");
   // Quarantined evaluations: a failing composition prints its diagnostics
   // (code, site, candidate) instead of aborting with a bare what() string.
   const EvalOutcome<core::PdsBreakdown> off_out =
-      core::try_evaluate_pds_offchip(sys, pdn_params, v_nom, guard_off);
+      core::try_evaluate_pds_offchip(p.sys, pdn_params, p.v_nom_v, p.guard_off_v);
   const EvalOutcome<core::PdsBreakdown> on_out =
-      core::try_evaluate_pds_ivr(sys, pdn_params, ivr, v_nom, guard_ivr);
+      core::try_evaluate_pds_ivr(p.sys, pdn_params, ivr, p.v_nom_v, p.guard_ivr_v);
   if (!off_out.ok() || !on_out.ok()) {
     if (!off_out.ok())
       std::fprintf(stderr, "pds: %s\n", off_out.diagnostics().to_string().c_str());
@@ -462,78 +392,63 @@ int cmd_pds(const Args& a) {
                TextTable::num(b.p_vrm_loss_w, 3), TextTable::num(b.p_total_w, 4),
                TextTable::num(b.efficiency * 100, 3)});
   };
-  row("off-chip VRM", guard_off, off);
-  row(("IVR x" + std::to_string(dist)).c_str(), guard_ivr, on);
+  row("off-chip VRM", p.guard_off_v, off);
+  row(("IVR x" + std::to_string(p.n_distributed)).c_str(), p.guard_ivr_v, on);
   std::printf("%s", t.render().c_str());
   std::printf("improvement: %.1f points\n", (on.efficiency - off.efficiency) * 100.0);
   return 0;
 }
 
-int cmd_transient(const Args& a) {
-  const std::string path = a.require_str("netlist");
+int cmd_transient(json::Value& body) {
+  // --netlist FILE becomes the netlist text, --record a,b a node array;
+  // --encoding and --chunk-bytes choose the stdout format.
+  const json::Value cli = split(body, {"netlist", "record", "encoding", "chunk_bytes"});
+  FieldReader c(cli, "transient");
+  const std::string path = required(c, "netlist");
+  const std::string record = c.str("record", "");
+  const bool wave1 = c.choice("encoding", "table", {"table", "wave1"}) == 1;
+  const int chunk_bytes = c.integer("chunk_bytes", 0);
+
   std::ifstream in(path);
   if (!in) throw InvalidParameter("cannot open netlist file '" + path + "'");
   std::ostringstream text;
   text << in.rdbuf();
-  const spice::Circuit ckt = spice::parse_netlist(text.str());
-
-  spice::TranSpec spec;
-  spec.tstop = a.num("tstop", 0.0);
-  if (!(spec.tstop > 0.0)) throw UsageError("missing or non-positive --tstop");
-  spec.dt = a.num("dt", 0.0);
-  if (!(spec.dt > 0.0)) throw UsageError("missing or non-positive --dt");
-  const std::string method = a.str("method", "trap");
-  if (method == "trap") spec.method = spice::Integrator::Trapezoidal;
-  else if (method == "be") spec.method = spice::Integrator::BackwardEuler;
-  else throw UsageError("unknown --method '" + method + "' (trap|be)");
-  spec.use_ic = a.integer("uic", 0) != 0;
-  spec.record_every = a.integer("record-every", 1);
-  spec.adaptive = a.integer("adaptive", 0) != 0;
-  spec.dv_max_v = a.num("dv-max", spec.dv_max_v);
-  spec.dt_max = a.num("dt-max", spec.dt_max);
-  spec.lu_cache_capacity = a.integer("lu-cache", spec.lu_cache_capacity);
-  const std::string kernel = a.str("kernel", "auto");
-  if (kernel == "auto") spec.kernel = sparse::Kernel::Auto;
-  else if (kernel == "dense") spec.kernel = sparse::Kernel::Dense;
-  else if (kernel == "banded") spec.kernel = sparse::Kernel::Banded;
-  else if (kernel == "sparse") spec.kernel = sparse::Kernel::Sparse;
-  else throw UsageError("unknown --kernel '" + kernel + "' (auto|dense|banded|sparse)");
-  const std::string record = a.str("record", "");
+  json::Value::Array nodes;
   for (std::size_t pos = 0; pos < record.size();) {
     const std::size_t comma = std::min(record.find(',', pos), record.size());
-    if (comma > pos) spec.record_nodes.push_back(ckt.find_node(record.substr(pos, comma - pos)));
+    if (comma > pos) nodes.emplace_back(record.substr(pos, comma - pos));
     pos = comma + 1;
   }
+  json::Value::Object& members = body.as_object();
+  members.emplace_back("netlist", text.str());
+  if (!nodes.empty()) members.emplace_back("record", std::move(nodes));
+  if (!body.find("topology")) body.set("topology", "spice");
+  const serve::TransientParams p = serve::transient_params(body);
+  // No sample budget: unlike a server, the CLI runs whatever it is asked to.
+  serve::SpicePrep sp = serve::prepare_spice(p, std::numeric_limits<std::size_t>::max());
 
-  if (a.str("encoding", "table") == "wave1") {
+  if (wave1) {
     // Raw wave1 frame stream on stdout (magic + HEADER/CHUNK/END), exactly
     // the bytes `ivory serve` would stream for this transient — pipe it to a
     // decoder or a file. The cost summary stays on stderr as usual.
-    std::vector<std::string> names;
-    std::vector<spice::NodeId> nodes = spec.record_nodes;
-    if (nodes.empty())
-      for (int n = 1; n < ckt.node_count(); ++n) nodes.push_back(n);
-    for (const spice::NodeId n : nodes) names.push_back(ckt.node_name(n));
     serve::StreamEmitter em(
         [](std::string&& bytes) {
           return std::fwrite(bytes.data(), 1, bytes.size(), stdout) == bytes.size();
         },
         nullptr, 0.0, std::chrono::steady_clock::now());
-    const int chunk = a.integer("chunk-bytes", 0);
-    if (chunk > 0) em.set_chunk_bytes(static_cast<std::size_t>(chunk));
-    serve::Wave1TransientStream ws(em, "null", std::move(names));
-    spec.sample_sink = ws.sink();
-    const spice::TranResult res = spice::transient(ckt, spec);
+    if (chunk_bytes > 0) em.set_chunk_bytes(static_cast<std::size_t>(chunk_bytes));
+    serve::Wave1TransientStream ws(em, "null", sp.names);
+    sp.spec.sample_sink = ws.sink();
+    const spice::TranResult res = spice::transient(sp.ckt, sp.spec);
     ws.finish(res);
     std::fflush(stdout);
     std::fprintf(stderr, "ivory transient: streamed %llu rows in %llu chunks (wave1)\n",
                  static_cast<unsigned long long>(ws.rows()),
                  static_cast<unsigned long long>(em.chunks_emitted()));
-    write_metrics_out(a);
     return 0;
   }
 
-  const spice::TranResult res = spice::transient(ckt, spec);
+  const spice::TranResult res = spice::transient(sp.ckt, sp.spec);
 
   TextTable t({"node", "final (V)", "mean (V)", "min (V)", "max (V)"});
   for (std::size_t i = 0; i < res.nodes.size(); ++i) {
@@ -544,7 +459,7 @@ int cmd_transient(const Args& a) {
       hi = std::max(hi, s);
       sum += s;
     }
-    t.add_row({ckt.node_name(res.nodes[i]), TextTable::num(v.back(), 5),
+    t.add_row({sp.ckt.node_name(res.nodes[i]), TextTable::num(v.back(), 5),
                TextTable::num(sum / static_cast<double>(v.size()), 5), TextTable::num(lo, 5),
                TextTable::num(hi, 5)});
   }
@@ -565,38 +480,37 @@ int cmd_transient(const Args& a) {
                static_cast<unsigned long long>(res.lu_cache_hits),
                static_cast<unsigned long long>(res.lu_cache_evictions),
                static_cast<unsigned long long>(res.max_resident_factorizations),
-               spec.lu_cache_capacity, res.kernel.c_str(),
+               sp.spec.lu_cache_capacity, res.kernel.c_str(),
                static_cast<unsigned long long>(res.symbolic_analyses),
                static_cast<unsigned long long>(res.factor_nnz));
-  write_metrics_out(a);
   return 0;
 }
 
-int cmd_batch(const Args& a) {
-  const int threads = a.integer("threads", 0);
-  if (threads > 0) par::set_global_threads(static_cast<unsigned>(threads));
-  serve::ServiceOptions sopt;
-  sopt.cache_capacity = static_cast<std::size_t>(a.integer("cache", 4096));
-  sopt.cache_dir = a.str("cache-dir", "");
-  if (a.has("store-max-bytes"))
-    sopt.store_max_bytes = static_cast<std::uint64_t>(a.num("store-max-bytes", 0));
-  serve::Service service(sopt);
+int cmd_batch(json::Value& body) {
+  FieldReader r(body, "batch");
+  const int threads = r.integer("threads", 0);
+  const serve::ServiceOptions sopt = service_options(r);
   serve::BatchOptions bopt;
-  bopt.repeat = a.integer("repeat", 1);
-  bopt.wave = static_cast<std::size_t>(a.integer("wave", 0));
-  bopt.queue_capacity = static_cast<std::size_t>(a.integer("queue", 1024));
+  bopt.repeat = r.integer("repeat", bopt.repeat);
+  bopt.wave = count(r, "wave", 0);
+  bopt.queue_capacity = count(r, "queue", static_cast<int>(bopt.queue_capacity));
+  r.finish();
+  if (threads > 0) par::set_global_threads(static_cast<unsigned>(threads));
+  serve::Service service(sopt);
   const serve::BatchSummary summary = serve::run_batch(std::cin, std::cout, service, bopt);
   // Counters live on stderr so response bytes on stdout stay replayable.
   std::fprintf(stderr, "%s\n", serve::summary_json(summary).c_str());
-  write_metrics_out(a);
   return 0;
 }
 
-int cmd_metrics(const Args& a) {
+int cmd_metrics(json::Value& body) {
   // With --socket, snapshot a running server's registry over the serve
   // protocol; without, render this process's own (freshly started, hence
   // empty) registry — still useful as a format self-check.
-  const std::string socket = a.str("socket", "");
+  FieldReader r(body, "metrics");
+  const std::string socket = r.str("socket", "");
+  const bool prometheus = r.choice("format", "json", {"json", "prometheus"}) == 1;
+  r.finish();
   json::Value snapshot;
   if (!socket.empty()) {
     serve::BlockingClient client(socket);
@@ -611,27 +525,23 @@ int cmd_metrics(const Args& a) {
   } else {
     snapshot = metrics::registry().to_json();
   }
-  const std::string format = a.str("format", "json");
-  if (format == "prometheus")
+  if (prometheus)
     std::printf("%s", metrics::render_prometheus(snapshot).c_str());
-  else if (format == "json")
-    std::printf("%s\n", snapshot.write_canonical().c_str());
   else
-    throw UsageError("unknown --format '" + format + "' (json|prometheus)");
+    std::printf("%s\n", snapshot.write_canonical().c_str());
   return 0;
 }
 
-/// Blocks SIGTERM/SIGINT in the calling thread (threads started afterwards
-/// inherit the mask), then waits for one. Returns the signal number.
-int wait_for_termination_signal() {
+/// Blocks SIGTERM/SIGINT in the calling thread. Threads started afterwards
+/// inherit the mask, so the signal always lands in the caller's sigwait and
+/// never kills a worker thread.
+sigset_t block_termination_signals() {
   sigset_t set;
   sigemptyset(&set);
   sigaddset(&set, SIGTERM);
   sigaddset(&set, SIGINT);
   pthread_sigmask(SIG_BLOCK, &set, nullptr);
-  int sig = 0;
-  sigwait(&set, &sig);
-  return sig;
+  return set;
 }
 
 void print_serve_stats(const serve::ServiceStats& s) {
@@ -653,36 +563,37 @@ void print_serve_stats(const serve::ServiceStats& s) {
   std::fprintf(stderr, "\n");
 }
 
-int cmd_serve(const Args& a) {
-  const int threads = a.integer("threads", 0);
+int cmd_serve(json::Value& body) {
+  FieldReader r(body, "serve");
+  const std::string socket = required(r, "socket");
+  const int threads = r.integer("threads", 0);
+  serve::ServerOptions o;
+  o.socket_path = socket;
+  o.service = service_options(r);
+  o.queue_capacity = count(r, "queue", static_cast<int>(o.queue_capacity));
+  o.wave = count(r, "wave", 0);
+  const int workers = r.integer("workers", 1);
+  const bool worker_mode = r.boolean("worker", false);
+  serve::SupervisorOptions fo;
+  fo.backoff_initial_ms = r.integer("backoff_ms", fo.backoff_initial_ms);
+  fo.flap_limit = r.integer("flap_limit", fo.flap_limit);
+  fo.drain_deadline_ms = r.integer("drain_ms", fo.drain_deadline_ms);
+  fo.health_interval_ms = r.integer("health_ms", fo.health_interval_ms);
+  r.finish();
   if (threads > 0) par::set_global_threads(static_cast<unsigned>(threads));
-  const std::string socket = a.require_str("socket");
-  const int workers = a.integer("workers", 1);
-  const bool worker_mode = a.integer("worker", 0) != 0;
 
   if (workers > 1 && !worker_mode) {
-    // Supervised fleet: N worker processes behind one acceptor/mux.
-    serve::SupervisorOptions o;
-    o.socket_path = socket;
-    o.workers = workers;
-    for (const char* flag : {"threads", "cache", "queue", "wave", "cache-dir",
-                             "store-max-bytes"})
-      if (a.has(flag)) {
-        o.worker_args.push_back(std::string("--") + flag);
-        o.worker_args.push_back(a.str(flag, ""));
+    // Supervised fleet: N worker processes behind one acceptor/mux. Each
+    // worker reads the per-process flags again.
+    fo.socket_path = socket;
+    fo.workers = workers;
+    for (const char* key : {"threads", "cache", "queue", "wave", "cache_dir", "store_max_bytes"})
+      if (const json::Value* v = body.find(key)) {
+        fo.worker_args.push_back(std::string("--") + key);
+        fo.worker_args.push_back(v->as_string());
       }
-    o.backoff_initial_ms = a.integer("backoff-ms", o.backoff_initial_ms);
-    o.flap_limit = a.integer("flap-limit", o.flap_limit);
-    o.drain_deadline_ms = a.integer("drain-ms", o.drain_deadline_ms);
-    o.health_interval_ms = a.integer("health-ms", o.health_interval_ms);
-    serve::Supervisor fleet(std::move(o));
-    // Block the termination signals before the fleet's threads exist so
-    // SIGTERM always lands in this sigwait, never kills a pump thread.
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGTERM);
-    sigaddset(&set, SIGINT);
-    pthread_sigmask(SIG_BLOCK, &set, nullptr);
+    serve::Supervisor fleet(std::move(fo));
+    const sigset_t set = block_termination_signals();
     fleet.start();
     std::fprintf(stderr, "ivory serve: fleet of %d workers on %s (SIGTERM drains)\n",
                  workers, fleet.socket_path().c_str());
@@ -706,24 +617,18 @@ int cmd_serve(const Args& a) {
     return 0;
   }
 
-  serve::ServerOptions o;
-  o.socket_path = socket;
-  o.service.cache_capacity = static_cast<std::size_t>(a.integer("cache", 4096));
-  o.service.cache_dir = a.str("cache-dir", "");
-  if (a.has("store-max-bytes"))
-    o.service.store_max_bytes = static_cast<std::uint64_t>(a.num("store-max-bytes", 0));
-  o.queue_capacity = static_cast<std::size_t>(a.integer("queue", 1024));
-  o.wave = static_cast<std::size_t>(a.integer("wave", 0));
   serve::Server server(std::move(o));
 
   if (worker_mode) {
     // Fleet worker: die with the supervisor, drain gracefully on SIGTERM.
     ::prctl(PR_SET_PDEATHSIG, SIGTERM);
     if (::getppid() == 1) return 0;  // supervisor already gone
+    const sigset_t set = block_termination_signals();
     server.start();
     std::fprintf(stderr, "ivory serve: worker %d on %s\n", ::getpid(),
                  server.socket_path().c_str());
-    wait_for_termination_signal();
+    int sig = 0;
+    sigwait(&set, &sig);
     server.stop();  // finishes in-flight requests before returning
     print_serve_stats(server.stats());
     return 0;
@@ -740,22 +645,24 @@ int cmd_serve(const Args& a) {
   return 0;
 }
 
-int cmd_client(const Args& a) {
+int cmd_client(json::Value& body) {
   // Minimal socket client for scripts and smoke tests: NDJSON requests on
   // stdin, one response line per request on stdout (strict ordering is the
   // transport contract). Exit 1 when the connection dies mid-stream.
   //
-  // --stream json|wave1 adds the stream envelope fields to every request and
+  // --stream wave1 adds the stream envelope fields to every request and
   // reassembles each frame stream back into the exact non-streaming response
   // line, so the output is byte-identical to --stream off against the same
   // server. --stream frames sends lines verbatim (the caller's JSON carries
   // its own stream fields) and prints a deterministic per-frame transcript —
   // the conformance surface the golden stream test diffs.
-  const std::string mode = a.str("stream", "off");
-  if (mode != "off" && mode != "json" && mode != "wave1" && mode != "frames")
-    throw UsageError("unknown --stream '" + mode + "' (off|json|wave1|frames)");
-  const int chunk_bytes = a.integer("chunk-bytes", 0);
-  serve::BlockingClient client(a.require_str("socket"));
+  FieldReader r(body, "client");
+  const std::string socket = required(r, "socket");
+  const std::size_t mode = r.choice("stream", "off", {"off", "wave1", "frames"});
+  const int chunk_bytes = r.integer("chunk_bytes", 0);
+  r.finish();
+  const bool wave1 = mode == 1, frames = mode == 2;
+  serve::BlockingClient client(socket);
   const auto raw_read = [&client](char* out, std::size_t cap) {
     return client.recv_raw(out, cap);
   };
@@ -764,10 +671,10 @@ int cmd_client(const Args& a) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
 
-    if (mode == "json" || mode == "wave1") {
+    if (wave1) {
       json::Value root = json::Value::parse(line);
       root.set("stream", json::Value(true));
-      root.set("encoding", json::Value(mode));
+      root.set("encoding", json::Value("wave1"));
       if (chunk_bytes > 0)
         root.set("chunk_bytes", json::Value(static_cast<std::uint64_t>(chunk_bytes)));
       client.send_line(root.write());
@@ -778,8 +685,7 @@ int cmd_client(const Args& a) {
     }
 
     client.send_line(line);
-    const serve::TransportDirective d = serve::classify_line(line);
-    if (mode == "frames" && d.is_stream) {
+    if (frames && serve::classify_line(line).is_stream) {
       const serve::StreamAssembler asm_ =
           serve::read_stream(raw_read, [](const serve::Frame& f) {
             if (f.type == serve::FrameType::Chunk)
@@ -802,7 +708,8 @@ void usage() {
   std::fprintf(
       stderr,
       "ivory — early-stage IVR design space exploration (DAC'17 reproduction)\n\n"
-      "  ivory explore  [--vin V --vout V --power W --area mm2 --node N --cap K]\n"
+      "  ivory explore  [--vin V --vout V --power W --area mm2 --node N --cap K\n"
+      "                  --inductor K --max-dist N --ripple V --target T --top-k N]\n"
       "  ivory pareto   [--density D --front-cap N --top-k N --simulate 0|1\n"
       "                  + explore flags]  multi-fidelity funnel: cheap-screen a\n"
       "                  dense grid, print the efficiency/area/ripple Pareto front\n"
@@ -810,7 +717,7 @@ void usage() {
       "                  --iload A --regulate V]\n"
       "  ivory buck     [--l H --fsw Hz --phases N --whs m --wls m --cout F\n"
       "                  --vin V --vout V --iload A --inductor smt|interposer|magnetic]\n"
-      "  ivory topology [--n N --m M --family ladder|series-parallel]\n"
+      "  ivory topology [--n N --m M --family auto|ladder|series-parallel|dickson]\n"
       "  ivory dynamic  [--benchmark B --dist N --duration s --dt s + explore flags]\n"
       "  ivory pds      [--guard-off V --guard-ivr V --dist N + explore flags]\n"
       "  ivory scenario [--preset P --topology sc|buck|ldo|dldo --delivery ivr|vrm|hybrid\n"
@@ -834,16 +741,28 @@ void usage() {
       "                  (SIGTERM drains; tuning: --backoff-ms --flap-limit\n"
       "                  --drain-ms --health-ms); --cache-dir adds a durable\n"
       "                  content-addressed result store shared by all workers\n"
-      "  ivory client   --socket PATH [--stream off|json|wave1|frames --chunk-bytes N]\n"
+      "  ivory client   --socket PATH [--stream off|wave1|frames --chunk-bytes N]\n"
       "                  NDJSON on stdin -> response lines on stdout (for scripts);\n"
-      "                  --stream json|wave1 negotiates framed streaming and decodes\n"
+      "                  --stream wave1 negotiates framed streaming and decodes\n"
       "                  back to the identical lines, frames prints a transcript\n"
       "  ivory metrics  [--socket PATH --format json|prometheus]\n"
       "                  metrics-registry snapshot (of a running server with --socket)\n\n"
-      "batch/transient/explore also take --metrics-out FILE to dump the process\n"
-      "metrics registry + trace ring as canonical JSON after the run.\n\n"
+      "Every subcommand also takes --metrics-out FILE to dump the process metrics\n"
+      "registry + trace ring as canonical JSON after the run.\n\n"
+      "Flags are the batch/serve request fields (--front-cap is \"front_cap\"), read\n"
+      "by the same strict schema: an unknown flag or a bad value is an error.\n"
       "Values accept SPICE suffixes: 4u, 15k, 80meg, 110m, ...\n");
 }
+
+using Handler = int (*)(json::Value&);
+
+constexpr std::pair<std::string_view, Handler> kCommands[] = {
+    {"explore", cmd_explore},   {"pareto", cmd_pareto},       {"sc", cmd_sc},
+    {"buck", cmd_buck},         {"topology", cmd_topology},   {"dynamic", cmd_dynamic},
+    {"pds", cmd_pds},           {"scenario", cmd_scenario},   {"transient", cmd_transient},
+    {"batch", cmd_batch},       {"serve", cmd_serve},         {"client", cmd_client},
+    {"metrics", cmd_metrics},
+};
 
 }  // namespace
 
@@ -853,29 +772,22 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  int (*handler)(const Args&) = nullptr;
-  if (cmd == "explore") handler = cmd_explore;
-  else if (cmd == "pareto") handler = cmd_pareto;
-  else if (cmd == "sc") handler = cmd_sc;
-  else if (cmd == "buck") handler = cmd_buck;
-  else if (cmd == "topology") handler = cmd_topology;
-  else if (cmd == "dynamic") handler = cmd_dynamic;
-  else if (cmd == "pds") handler = cmd_pds;
-  else if (cmd == "scenario") handler = cmd_scenario;
-  else if (cmd == "transient") handler = cmd_transient;
-  else if (cmd == "batch") handler = cmd_batch;
-  else if (cmd == "serve") handler = cmd_serve;
-  else if (cmd == "client") handler = cmd_client;
-  else if (cmd == "metrics") handler = cmd_metrics;
+  Handler handler = nullptr;
+  for (const auto& [name, h] : kCommands)
+    if (cmd == name) handler = h;
   if (handler == nullptr) {
     std::fprintf(stderr, "ivory: unknown subcommand '%s'\n\n", cmd.c_str());
     usage();
     return 2;
   }
   try {
-    const Args args(argc, argv, 2);
-    return handler(args);
-  } catch (const UsageError& e) {
+    json::Value body = flags_body(argc, argv);
+    const json::Value cli = split(body, {"metrics_out"});
+    const int rc = handler(body);
+    if (const json::Value* path = cli.find("metrics_out"); rc == 0 && path != nullptr)
+      write_metrics_out(path->as_string());
+    return rc;
+  } catch (const SchemaError& e) {
     std::fprintf(stderr, "ivory %s: %s\n\n", cmd.c_str(), e.what());
     usage();
     return 2;

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Regenerates the golden batch expectation from the current build.
+# Regenerates the golden batch, stream and CLI expectations from the current
+# build.
 #
 #   tools/update_golden.sh [path/to/ivory]
 #
@@ -26,5 +27,8 @@ echo "update_golden: wrote $golden/batch_smoke.expected ($lines responses)"
 
 # The streamed-frame transcript golden (server + `client --stream frames`).
 "$repo/tools/stream_smoke.sh" --update "$ivory"
+
+# The CLI transcript golden (stdout of every table-printing subcommand).
+"$repo/tools/cli_smoke.sh" --update "$ivory"
 
 echo "update_golden: review 'git diff tests/golden' before committing"
