@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ivory {
@@ -60,18 +61,25 @@ class NonFiniteError : public NumericalError {
   explicit NonFiniteError(const std::string& what) : NumericalError(what) {}
 };
 
-/// Throws InvalidParameter with `msg` when `cond` is false.
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw InvalidParameter(msg);
+namespace detail {
+// The throwing halves of require() and check_finite(), kept out of the
+// checks so a passing check inlines to a compare and a branch.
+[[noreturn]] void throw_invalid_parameter(std::string_view msg);
+[[noreturn]] void throw_non_finite(double v, const char* site);
+}  // namespace detail
+
+/// Throws InvalidParameter with `msg` when `cond` is false. The message is
+/// taken as a view and copied only on failure, so a passing check costs a
+/// branch and never allocates.
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] detail::throw_invalid_parameter(msg);
 }
 
 /// Returns `v` unchanged when finite; otherwise throws NonFiniteError naming
 /// `site`. Placed at model boundaries so NaN/Inf surfaces as a contextful
 /// error instead of silently poisoning downstream rankings.
 inline double check_finite(double v, const char* site) {
-  if (!std::isfinite(v))
-    throw NonFiniteError(std::string(site) + ": non-finite value (" +
-                         (std::isnan(v) ? "NaN" : "Inf") + ")");
+  if (!std::isfinite(v)) [[unlikely]] detail::throw_non_finite(v, site);
   return v;
 }
 
