@@ -1,51 +1,14 @@
 #include "core/blocks.hpp"
 
-#include "common/error.hpp"
-
 namespace ivory::core {
 
-namespace {
-// Gate populations (gate equivalents) for the digital feedback system; sized
-// after published digital-LDO / SC-controller breakdowns.
-constexpr double kControllerGates = 1500.0;
-constexpr double kClockGatesPerPhase = 200.0;
-constexpr double kComparatorGateEquiv = 50.0;
-constexpr double kActivity = 0.2;          // Average toggling activity.
-constexpr double kDriverOverhead = 0.30;   // Tapered-buffer chain vs final stage.
-constexpr double kUnitWidth_m = 0.5e-6;    // Unit gate: 0.5 um of W, 4 devices.
-}  // namespace
-
-double unit_gate_cap(tech::Node node) {
+PeripheralTech peripheral_tech(tech::Node node) {
   const tech::SwitchTech& dev = tech::switch_tech(node, tech::DeviceClass::Core);
-  return 4.0 * dev.cgate_per_w_f_m * kUnitWidth_m;
-}
-
-PeripheralBudget peripheral_budget(tech::Node node, double f_sw_hz, int n_phases,
-                                   double c_gate_total_f, double v_drive_v) {
-  require(f_sw_hz > 0.0, "peripheral_budget: f_sw must be positive");
-  require(n_phases >= 1, "peripheral_budget: need at least one phase");
-  require(c_gate_total_f >= 0.0, "peripheral_budget: gate cap must be non-negative");
-  require(v_drive_v > 0.0, "peripheral_budget: drive voltage must be positive");
-
-  const tech::SwitchTech& dev = tech::switch_tech(node, tech::DeviceClass::Core);
-  const double vdd = dev.vdd_nom_v;
-  const double cg = unit_gate_cap(node);
-  // The controller and comparator run once per switching event of any phase.
-  const double f_ctrl = f_sw_hz * static_cast<double>(n_phases);
-
-  PeripheralBudget b;
-  b.p_controller_w = kControllerGates * kActivity * cg * vdd * vdd * f_ctrl;
-  b.p_clockgen_w =
-      kClockGatesPerPhase * static_cast<double>(n_phases) * kActivity * cg * vdd * vdd * f_sw_hz;
-  b.p_comparator_w = kComparatorGateEquiv * cg * vdd * vdd * f_ctrl;
-  b.p_driver_w = kDriverOverhead * c_gate_total_f * v_drive_v * v_drive_v * f_sw_hz;
-
-  const double gate_count = kControllerGates +
-                            kClockGatesPerPhase * static_cast<double>(n_phases) +
-                            kComparatorGateEquiv * static_cast<double>(n_phases);
-  // Each gate: 4 unit devices plus routing (x2).
-  b.area_m2 = gate_count * 4.0 * dev.area(kUnitWidth_m) * 2.0;
-  return b;
+  PeripheralTech t;
+  t.vdd_v = dev.vdd_nom_v;
+  t.unit_cg_f = 4.0 * dev.cgate_per_w_f_m * kUnitWidth_m;
+  t.unit_area_m2 = dev.area(kUnitWidth_m);
+  return t;
 }
 
 }  // namespace ivory::core

@@ -10,9 +10,24 @@
 // per-node gate energies rather than ignored.
 #pragma once
 
+#include "common/error.hpp"
 #include "tech/tech.hpp"
 
 namespace ivory::core {
+
+/// Wiring/keep-out overhead applied to every converter's summed block area
+/// (15%); the sizing code divides an area budget by it to get the usable
+/// share.
+inline constexpr double kWiringOverhead = 1.15;
+
+// Gate populations (gate equivalents) for the digital feedback system; sized
+// after published digital-LDO / SC-controller breakdowns.
+inline constexpr double kControllerGates = 1500.0;
+inline constexpr double kClockGatesPerPhase = 200.0;
+inline constexpr double kComparatorGateEquiv = 50.0;
+inline constexpr double kActivity = 0.2;         ///< Average toggling activity.
+inline constexpr double kDriverOverhead = 0.30;  ///< Tapered-buffer chain vs final stage.
+inline constexpr double kUnitWidth_m = 0.5e-6;   ///< Unit gate: 0.5 um of W, 4 devices.
 
 struct PeripheralBudget {
   double p_controller_w = 0.0;
@@ -26,20 +41,59 @@ struct PeripheralBudget {
   }
 };
 
-/// Peripheral power/area for a converter in technology `node` switching at
-/// `f_sw_hz` with `n_phases` interleaved phases, driving `c_gate_total_f` of
-/// final-stage gate capacitance at `v_drive_v`.
+/// The per-node constants of the peripheral blocks, looked up once so the
+/// per-candidate evaluations never touch the technology tables.
+struct PeripheralTech {
+  double vdd_v = 0.0;         ///< Core supply the digital blocks run at.
+  double unit_cg_f = 0.0;     ///< Unit gate capacitance: 4 devices of kUnitWidth_m.
+  double unit_area_m2 = 0.0;  ///< Die area of one kUnitWidth_m device.
+};
+
+PeripheralTech peripheral_tech(tech::Node node);
+
+/// Peripheral power/area for a converter clocked at `f_sw_hz` with
+/// `n_phases` interleaved phases, driving `c_gate_total_f` of final-stage
+/// gate capacitance at `v_drive_v`, `f_drive_hz` times a second (the
+/// switching rate, which pulse skipping can hold below the clock).
 ///
 /// The digital blocks are modeled as gate populations (controller ~1.5k
 /// gates, clock generator ~200 gates per phase, comparator ~50 gate-
 /// equivalents per sample) with per-node unit gate capacitance; the driver
 /// chain adds the classic tapered-buffer factor (~1/(F-1) of the final-stage
 /// energy per stage, lumped as 30%).
-PeripheralBudget peripheral_budget(tech::Node node, double f_sw_hz, int n_phases,
-                                   double c_gate_total_f, double v_drive_v);
+inline PeripheralBudget peripheral_budget(const PeripheralTech& t, double f_sw_hz,
+                                          int n_phases, double c_gate_total_f,
+                                          double v_drive_v, double f_drive_hz) {
+  require(f_sw_hz > 0.0, "peripheral_budget: f_sw must be positive");
+  require(n_phases >= 1, "peripheral_budget: need at least one phase");
+  require(c_gate_total_f >= 0.0, "peripheral_budget: gate cap must be non-negative");
+  require(v_drive_v > 0.0, "peripheral_budget: drive voltage must be positive");
 
-/// Energy of one unit (minimum-ish, 0.5 um wide) gate at `node` [F]: the
-/// basic C in E = C * Vdd^2 used by all digital block estimates.
-double unit_gate_cap(tech::Node node);
+  const double vdd = t.vdd_v;
+  const double cg = t.unit_cg_f;
+  // The controller and comparator run once per switching event of any phase.
+  const double f_ctrl = f_sw_hz * static_cast<double>(n_phases);
+
+  PeripheralBudget b;
+  b.p_controller_w = kControllerGates * kActivity * cg * vdd * vdd * f_ctrl;
+  b.p_clockgen_w =
+      kClockGatesPerPhase * static_cast<double>(n_phases) * kActivity * cg * vdd * vdd * f_sw_hz;
+  b.p_comparator_w = kComparatorGateEquiv * cg * vdd * vdd * f_ctrl;
+  b.p_driver_w = kDriverOverhead * c_gate_total_f * v_drive_v * v_drive_v * f_drive_hz;
+
+  const double gate_count = kControllerGates +
+                            kClockGatesPerPhase * static_cast<double>(n_phases) +
+                            kComparatorGateEquiv * static_cast<double>(n_phases);
+  // Each gate: 4 unit devices plus routing (x2).
+  b.area_m2 = gate_count * 4.0 * t.unit_area_m2 * 2.0;
+  return b;
+}
+
+/// The same budget in technology `node`, driving at the clock rate.
+inline PeripheralBudget peripheral_budget(tech::Node node, double f_sw_hz, int n_phases,
+                                          double c_gate_total_f, double v_drive_v) {
+  return peripheral_budget(peripheral_tech(node), f_sw_hz, n_phases, c_gate_total_f, v_drive_v,
+                           f_sw_hz);
+}
 
 }  // namespace ivory::core

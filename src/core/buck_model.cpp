@@ -1,21 +1,23 @@
 #include "core/buck_model.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace ivory::core {
 
-double interleave_cancellation(int n_phases, double duty) {
-  require(n_phases >= 1, "interleave_cancellation: need at least one phase");
-  require(duty > 0.0 && duty < 1.0, "interleave_cancellation: duty must be in (0, 1)");
-  if (n_phases == 1) return 1.0;
-  const double nd = static_cast<double>(n_phases) * duty;
-  const double frac = nd - std::floor(nd);
-  // Classic multiphase ripple-current cancellation (summed inductor current
-  // ripple relative to one phase's ripple). Exactly zero when N*D is an
-  // integer.
-  return frac * (1.0 - frac) / (static_cast<double>(n_phases) * duty * (1.0 - duty));
+BuckPrepared prepare_buck(const BuckDesign& d, double vin_v) {
+  BuckPrepared k;
+  k.vin_v = vin_v;
+  // Device class: the power train sees the full input voltage.
+  const tech::SwitchTech& core_dev = tech::switch_tech(d.node, tech::DeviceClass::Core);
+  k.dev = vin_v > core_dev.vmax_v ? tech::switch_tech(d.node, tech::DeviceClass::Io) : core_dev;
+  k.ind = &tech::inductor_tech(d.inductor);
+  k.cap = tech::capacitor_tech(d.node, d.cap_kind);
+  k.v_drive_v = std::min(k.dev.vdd_nom_v, vin_v);
+  // Transition time ~ 4x the device Ron*Cg figure of merit (self-loaded
+  // driver).
+  k.t_tr_s = 4.0 * k.dev.fom_s();
+  k.per = peripheral_tech(d.node);
+  return k;
 }
 
 BuckAnalysis analyze_buck(const BuckDesign& d, double vin_v, double vout_v, double i_load_a) {
@@ -31,89 +33,19 @@ BuckAnalysis analyze_buck(const BuckDesign& d, double vin_v, double vout_v, doub
   require(d.w_high_m > 0.0 && d.w_low_m > 0.0, "BuckDesign: switch widths must be positive");
   require(d.c_out_f > 0.0, "BuckDesign: output capacitance must be positive");
 
-  // Device class: the power train sees the full input voltage.
-  const tech::SwitchTech& core_dev = tech::switch_tech(d.node, tech::DeviceClass::Core);
-  const tech::SwitchTech& dev = vin_v > core_dev.vmax_v
-                                    ? tech::switch_tech(d.node, tech::DeviceClass::Io)
-                                    : core_dev;
-  const tech::InductorTech& ind = tech::inductor_tech(d.inductor);
-  const tech::CapacitorTech cap = tech::capacitor_tech(d.node, d.cap_kind);
-
+  const BuckPrepared k = prepare_buck(d, vin_v);
   BuckAnalysis a;
   a.vin_v = vin_v;
   a.vout_v = vout_v;
   a.i_load_a = i_load_a;
-
-  const double n = static_cast<double>(d.n_phases);
-  const double i_ph = i_load_a / n;
-  const double r_hs = dev.ron(d.w_high_m);
-  const double r_ls = dev.ron(d.w_low_m);
-  const double r_dcr = ind.dcr(d.l_per_phase_h);
-  a.l_eff_h =
-      d.ignore_l_rolloff ? d.l_per_phase_h : ind.inductance_at(d.l_per_phase_h, d.f_sw_hz);
-
-  // CCM volt-second balance with conduction drops, two fixed-point passes.
-  double duty = vout_v / vin_v;
-  for (int pass = 0; pass < 2; ++pass) {
-    const double drop_on = i_ph * (r_hs + r_dcr);
-    const double drop_off = i_ph * (r_ls + r_dcr);
-    duty = (vout_v + drop_off) / std::max(vin_v - drop_on + drop_off, 1e-9);
-  }
-  require(duty > 0.0 && duty < 1.0, "analyze_buck: duty out of range — vout unreachable");
-  a.duty = duty;
-
-  a.i_ripple_phase_a = (vin_v - vout_v) * duty / (a.l_eff_h * d.f_sw_hz);
-  a.i_ripple_out_a = a.i_ripple_phase_a * interleave_cancellation(d.n_phases, duty);
-
-  a.p_out_w = vout_v * i_load_a;
-
-  // Conduction: RMS current includes the triangular ripple term.
-  const double i_sq = i_ph * i_ph + a.i_ripple_phase_a * a.i_ripple_phase_a / 12.0;
-  const double r_eff = duty * r_hs + (1.0 - duty) * r_ls + r_dcr;
-  a.p_conduction_w = n * i_sq * r_eff;
-
-  // Gate drive swings at most the available input rail (drivers are supplied
-  // from vin), capped by the device's nominal gate rating.
-  const double v_drive = std::min(dev.vdd_nom_v, vin_v);
-  const double cg_phase = dev.cgate(d.w_high_m) + dev.cgate(d.w_low_m);
-  a.p_gate_w = n * d.f_sw_hz * cg_phase * v_drive * v_drive;
-
-  // Transition (V-I overlap): transition time ~ 4x the device Ron*Cg figure
-  // of merit (self-loaded driver), two transitions per cycle.
-  const double t_tr = 4.0 * dev.fom_s();
-  a.p_overlap_w = n * vin_v * i_ph * t_tr * d.f_sw_hz;
-
-  // Junction capacitance of the switching node charged to vin each cycle.
-  const double cd_phase = dev.cdrain(d.w_high_m) + dev.cdrain(d.w_low_m);
-  a.p_coss_w = n * d.f_sw_hz * cd_phase * vin_v * vin_v;
-
-  // Body-diode conduction during dead time (both edges).
-  const double t_dead = 2.0 * t_tr;
-  const double v_diode = 0.65;
-  a.p_deadtime_w = n * 2.0 * d.f_sw_hz * t_dead * i_ph * v_diode;
-
-  const PeripheralBudget per =
-      peripheral_budget(d.node, d.f_sw_hz, d.n_phases, n * cg_phase, v_drive);
-  a.p_peripheral_w = per.total_power();
-
-  a.p_in_w = a.p_out_w + a.p_conduction_w + a.p_gate_w + a.p_overlap_w + a.p_coss_w +
-             a.p_deadtime_w + a.p_peripheral_w;
-  a.efficiency = a.p_out_w / a.p_in_w;
-
-  // Output ripple: capacitive charging of C_out by the residual current
-  // ripple at the N-phase effective frequency, plus the ESR step.
-  const double f_eff = n * d.f_sw_hz;
-  a.ripple_pp_v = a.i_ripple_out_a / (8.0 * f_eff * d.c_out_f) +
-                  a.i_ripple_out_a * cap.esr(d.c_out_f);
-
-  // Area: switches and decap on die; inductors wherever the technology puts
-  // them.
-  const double area_sw = n * (dev.area(d.w_high_m) + dev.area(d.w_low_m));
-  const double area_cap = cap.area(d.c_out_f);
-  const double area_ind = n * ind.area(d.l_per_phase_h);
-  a.area_die_m2 = 1.15 * (area_sw + area_cap + per.area_m2 + (ind.on_die ? area_ind : 0.0));
-  a.area_offdie_m2 = ind.on_die ? 0.0 : area_ind;
-  a.area_m2 = a.area_die_m2 + a.area_offdie_m2;
+  const double l_eff = d.ignore_l_rolloff ? d.l_per_phase_h
+                                          : k.ind->inductance_at(d.l_per_phase_h, d.f_sw_hz);
+  // Thrown here rather than through require(): sweeps reject unreachable
+  // sizings this way by the ten thousand, and each extra frame makes the
+  // unwind dearer.
+  if (!buck_operating_point(k, d, l_eff, vout_v, i_load_a, a))
+    throw InvalidParameter("analyze_buck: duty out of range — vout unreachable");
+  buck_evaluate(k, d, vout_v, i_load_a, a);
   IVORY_CHECK_FINITE(a.efficiency, "analyze_buck");
   IVORY_CHECK_FINITE(a.ripple_pp_v, "analyze_buck");
   IVORY_CHECK_FINITE(a.area_m2, "analyze_buck");

@@ -64,7 +64,7 @@ DldoAnalysis analyze_dldo(const DldoDesign& d, double vin_v, double vout_v, doub
   a.t_response_s = segments / f_decision;
 
   const tech::CapacitorTech cap = tech::capacitor_tech(d.node, d.cap_kind);
-  a.area_m2 = 1.15 * (dev.area(d.w_pass_m) + cap.area(d.c_out_f) + per.area_m2);
+  a.area_m2 = kWiringOverhead * (dev.area(d.w_pass_m) + cap.area(d.c_out_f) + per.area_m2);
   IVORY_CHECK_FINITE(a.efficiency, "analyze_dldo");
   IVORY_CHECK_FINITE(a.ripple_pp_v, "analyze_dldo");
   IVORY_CHECK_FINITE(a.area_m2, "analyze_dldo");

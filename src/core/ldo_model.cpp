@@ -58,7 +58,7 @@ LdoAnalysis analyze_ldo(const LdoDesign& d, double vin_v, double vout_v, double 
   a.ripple_pp_v = std::max(i_lsb, 0.0) / (d.f_clk_hz * d.c_out_f);
 
   const tech::CapacitorTech cap = tech::capacitor_tech(d.node, d.cap_kind);
-  a.area_m2 = 1.15 * (dev.area(d.w_pass_m) + cap.area(d.c_out_f) + per.area_m2);
+  a.area_m2 = kWiringOverhead * (dev.area(d.w_pass_m) + cap.area(d.c_out_f) + per.area_m2);
   IVORY_CHECK_FINITE(a.efficiency, "analyze_ldo");
   IVORY_CHECK_FINITE(a.ripple_pp_v, "analyze_ldo");
   IVORY_CHECK_FINITE(a.area_m2, "analyze_ldo");

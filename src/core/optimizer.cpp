@@ -80,26 +80,6 @@ DseResult reduce_best(const std::vector<DseResult>& candidates, DseResult init) 
 
 // --- Switched capacitor ------------------------------------------------------
 
-// Die area consumed per siemens of total switch conductance, given the
-// optimal per-switch allocation and per-switch device class.
-double sc_area_per_conductance(const ScTopology& topo, const ChargeVectors& cv,
-                               const std::vector<double>& stress, double vin_v,
-                               tech::Node node) {
-  const tech::SwitchTech& core_dev = tech::switch_tech(node, tech::DeviceClass::Core);
-  const tech::SwitchTech& io_dev = tech::switch_tech(node, tech::DeviceClass::Io);
-  const double sum_ar = cv.sum_ar();
-  double k = 0.0;
-  for (std::size_t i = 0; i < topo.switches.size(); ++i) {
-    const double share = std::max(cv.a_switch[i],
-                                  0.02 * sum_ar / static_cast<double>(topo.switches.size())) /
-                         sum_ar;
-    const tech::SwitchTech& dev =
-        stress[i] * vin_v > core_dev.vmax_v ? io_dev : core_dev;
-    k += share * dev.ron_w_ohm_m * dev.area_per_w_m;  // W = RonW * G; area = W * pitch.
-  }
-  return k;
-}
-
 // Consumes the quarantined per-candidate outcomes of one sweep in index
 // order: survivors are collected, skips recorded in `report`. When every
 // candidate died, throws the aggregated SweepError (after merging into
@@ -155,20 +135,16 @@ DseResult optimize_sc(const SystemParams& sys, int n_dist, SweepReport& report) 
     return quarantine("optimize_sc", candidate, [&]() -> DseResult {
     const auto& [ratio, family] = variants[vi];
     const auto& [n, m] = ratio;
-    const ScStaticAnalysis& st = sc_static_analysis(n, m, family);
-    const ScTopology& topo = st.topo;
-    const ChargeVectors& cv = st.cv;
-    const std::vector<double>& stress = st.stress;
-    const double sum_ac = cv.sum_ac();
-    const double sum_ar = cv.sum_ar();
-    const double k_area_g = sc_area_per_conductance(topo, cv, stress, sys.vin_v, sys.node);
-    const double videal = topo.ideal_ratio() * sys.vin_v;
+    ScDesign base;
+    base.node = sys.node;
+    base.cap_kind = sys.cap_kind;
+    base.n = n;
+    base.m = m;
+    base.family = family;
+    const ScPrepared k = prepare_sc(base, sys.vin_v);
     // The converter must hold regulation at the worst-case load peak, not
-    // the average (workload traces swing to ~2.5x the mean); at average load
-    // the hysteretic controller skips pulses, i.e. runs at a lower effective
-    // frequency.
-    constexpr double kPeakLoadFactor = 2.5;
-    const double r_needed_peak = (videal - sys.vout_v) / (kPeakLoadFactor * i_ivr);
+    // the average.
+    const double r_needed_peak = (k.vout_ideal_v - sys.vout_v) / (kPeakLoadFactor * i_ivr);
 
     // At a fixed (C, G) split, peak-load regulation pins the maximum switching
     // frequency; the only free variable is the capacitor share of the area
@@ -177,31 +153,19 @@ DseResult optimize_sc(const SystemParams& sys, int n_dist, SweepReport& report) 
       DseResult r;
       r.topology = IvrTopology::SwitchedCapacitor;
       r.n_distributed = n_dist;
-      const double usable = area_ivr / 1.15;  // Mirror the wiring overhead.
+      const double usable = area_ivr / kWiringOverhead;
       const double area_caps = cap_frac * usable;
       const double area_sw = (1.0 - cap_frac) * usable * 0.95;  // 5% peripheral.
       const double c_total = area_caps * cap.density_f_m2;
-      const double c_fly = 0.85 * c_total;
-      const double c_out = 0.15 * c_total;
-      const double g_tot = area_sw / k_area_g;
+      ScDesign d = base;
+      d.c_fly_f = 0.85 * c_total;
+      d.c_out_f = 0.15 * c_total;
+      d.g_tot_s = area_sw / k.area_per_s;
 
-      const double rfsl = sum_ar * sum_ar / (g_tot * 0.5);
-      if (r_needed_peak <= rfsl * 1.02) return r;  // Cannot regulate: FSL floor too high.
-      const double rssl_peak = std::sqrt(r_needed_peak * r_needed_peak - rfsl * rfsl);
-      const double f_max = sum_ac * sum_ac / (c_fly * rssl_peak);
-      if (f_max < 1e5 || f_max > 5e9) return r;  // Outside sane switching range.
-
-      ScDesign d;
-      d.node = sys.node;
-      d.cap_kind = sys.cap_kind;
-      d.n = n;
-      d.m = m;
-      d.family = family;
-      d.c_fly_f = c_fly;
-      d.c_out_f = c_out;
-      d.g_tot_s = g_tot;
-      d.f_sw_hz = f_max;
-      d.duty = 0.5;
+      // Cannot regulate: FSL floor too high.
+      if (r_needed_peak <= sc_rfsl(k, d.sizing()) * 1.02) return r;
+      d.f_sw_hz = sc_frequency_for(k, d.sizing(), r_needed_peak);
+      if (d.f_sw_hz < 1e5 || d.f_sw_hz > 5e9) return r;  // Outside sane switching range.
       d.n_interleave = 1;
 
       // At the average load, pulse skipping lowers the effective frequency.
@@ -272,7 +236,7 @@ DseResult optimize_buck(const SystemParams& sys, int n_dist, SweepReport& report
     DseResult r;
     r.topology = IvrTopology::Buck;
     r.n_distributed = n_dist;
-    const double usable = area_ivr / 1.15;
+    const double usable = area_ivr / kWiringOverhead;
     const double area_l = l_frac * usable;
     const double rest = (1.0 - l_frac) * usable;
     const double area_sw = 0.4 * rest * sw_util;
@@ -376,7 +340,7 @@ DseResult optimize_ldo(const SystemParams& sys, int n_dist, SweepReport& report)
     d.w_pass_m = dev.ron_w_ohm_m / r_pass;
     // Half the area goes to output decap; clock chosen to hit the ripple
     // budget with one-LSB limit cycling.
-    d.c_out_f = 0.5 * area_ivr / 1.15 * cap.density_f_m2;
+    d.c_out_f = 0.5 * area_ivr / kWiringOverhead * cap.density_f_m2;
     const double i_lsb = (sys.vin_v - sys.vout_v) / r_pass / std::pow(2.0, d.n_bits);
     d.f_clk_hz = std::clamp(i_lsb / (0.8 * sys.ripple_max_v * d.c_out_f), 10e6, 3e9);
     d.i_quiescent_a = 0.002 * i_ivr;
@@ -449,7 +413,7 @@ DseResult optimize_dldo(const SystemParams& sys, int n_dist, SweepReport& report
           // half the area goes to output decap (mirrors the analog LDO).
           const double r_pass = 0.2 * (sys.vin_v - sys.vout_v) / i_ivr;
           d.w_pass_m = dev.ron_w_ohm_m / r_pass;
-          d.c_out_f = 0.5 * area_ivr / 1.15 * cap.density_f_m2;
+          d.c_out_f = 0.5 * area_ivr / kWiringOverhead * cap.density_f_m2;
           // Per-slice clock chosen so the *interleaved* decision rate hits
           // the ripple budget with one-LSB limit cycling, but never so slow
           // that a full-scale code walk (2^bits decisions) takes longer than

@@ -46,6 +46,11 @@ struct SystemParams {
   tech::InductorKind inductor = tech::InductorKind::MagneticFilm;
 };
 
+/// SC designs hold regulation at this multiple of the average load: the
+/// workload traces swing to ~2.5x their mean, and at the average load the
+/// hysteretic controller skips pulses (a lower effective frequency).
+inline constexpr double kPeakLoadFactor = 2.5;
+
 /// One explored/optimized design point.
 struct DseResult {
   IvrTopology topology = IvrTopology::SwitchedCapacitor;

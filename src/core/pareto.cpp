@@ -175,29 +175,14 @@ FunnelSpec FunnelSpec::scaled(double density) const {
 
 namespace {
 
-constexpr int kIlSteps = 7;            // SC interleave axis: 1, 2, ..., 64.
-constexpr double kPeakLoadFactor = 2.5;  // Mirrors optimize_sc.
+constexpr int kIlSteps = 7;  // SC interleave axis: 1, 2, ..., 64.
 
 enum class PlanKind { Sc, Buck, Ldo, Dldo };
 
-// Per-(ratio, family) constants of the SC closed-form screen, derived once
-// from the memoized static analysis. The coefficients reduce analyze_at's
-// per-switch loop to three multiplies per candidate:
-//   p_gate   = f_used * kgate_pg  * g_tot
-//   p_leak_sw =          kleak_pg * g_tot
-//   c_gate    =          kcgate_pg * g_tot
-struct ScVariantConst {
-  int n = 0, m = 0;
-  ScFamily family = ScFamily::Ladder;
-  double ratio = 0.0;      // m/n
-  double videal = 0.0;
-  double sum_ac = 0.0, sum_ar = 0.0;
-  double k_area_g = 0.0;   // die area per siemens of G_tot
-  double kgate_pg = 0.0;
-  double kleak_pg = 0.0;
-  double kcgate_pg = 0.0;
-  double vcap = 0.0;       // first cap's held voltage
-  double kappa = 0.0;      // HF fly-cap fraction at the output
+// One SC (ratio, family) variant: its unsized design and prepared model part.
+struct ScVariant {
+  ScDesign design;
+  ScPrepared k;
 };
 
 struct Plan {
@@ -210,7 +195,7 @@ struct Plan {
   // Derived per (n_dist, h):
   double i_ivr = 0.0;       // per-IVR average load current
   double area_ivr = 0.0;    // per-IVR area budget
-  double usable = 0.0;      // area_ivr / 1.15
+  double usable = 0.0;      // area_ivr / kWiringOverhead
   double p_vrm_in_w = 0.0;  // board-VRM input power for the (1-h) share
 };
 
@@ -219,10 +204,8 @@ struct FunnelCtx {
   FunnelSpec spec;
   const tech::CapacitorTech* cap = nullptr;
   const tech::InductorTech* ind = nullptr;
-  const tech::SwitchTech* core_dev = nullptr;
   const tech::SwitchTech* pass_dev = nullptr;  // IO class when vin > core vmax
-  double ugc = 0.0;       // unit_gate_cap(node)
-  double vdd_core = 0.0;
+  BuckPrepared buck;
   double buck_sd = 0.0, buck_si = 0.0;  // sqrt(duty0), sqrt(1 - duty0)
 
   std::vector<double> sc_split, sc_out_frac;
@@ -231,11 +214,9 @@ struct FunnelCtx {
   std::vector<double> dldo_margin, dldo_decap;
   std::vector<double> hybrid;
   std::vector<int> dists;
-  std::vector<ScVariantConst> sc_variants;
+  std::vector<ScVariant> sc_variants;
   std::vector<int> buck_phases{2, 4, 8, 16};
   std::vector<std::pair<int, int>> dldo_variants;  // (bits, n_comparators)
-  double sc_per_area[kIlSteps] = {};  // peripheral area at 2*il phases
-  std::vector<double> buck_per_area;  // peripheral area per phase count
 
   std::vector<Plan> plans;
   std::uint64_t total = 0;
@@ -266,12 +247,6 @@ std::vector<double> logspace(double lo, double hi, int n) {
   return v;
 }
 
-// Peripheral-block die area at `phases` phases (mirrors blocks.cpp).
-double peripheral_area(const tech::SwitchTech& core_dev, int phases) {
-  const double gates = 1500.0 + (200.0 + 50.0) * static_cast<double>(phases);
-  return gates * 4.0 * core_dev.area(0.5e-6) * 2.0;
-}
-
 void check_spec(const FunnelSpec& spec) {
   require(spec.sc_split_steps >= 1 && spec.sc_out_frac_steps >= 1 &&
               spec.buck_l_frac_steps >= 1 && spec.buck_util_steps >= 1 &&
@@ -291,12 +266,15 @@ FunnelCtx build_ctx(const SystemParams& sys, const FunnelSpec& spec) {
   c.spec = spec;
   c.cap = &tech::capacitor_tech(sys.node, sys.cap_kind);
   c.ind = &tech::inductor_tech(sys.inductor);
-  c.core_dev = &tech::switch_tech(sys.node, tech::DeviceClass::Core);
-  c.pass_dev = sys.vin_v > c.core_dev->vmax_v
+  const tech::SwitchTech& core_dev = tech::switch_tech(sys.node, tech::DeviceClass::Core);
+  c.pass_dev = sys.vin_v > core_dev.vmax_v
                    ? &tech::switch_tech(sys.node, tech::DeviceClass::Io)
-                   : c.core_dev;
-  c.ugc = unit_gate_cap(sys.node);
-  c.vdd_core = c.core_dev->vdd_nom_v;
+                   : &core_dev;
+  BuckDesign buck;
+  buck.node = sys.node;
+  buck.inductor = sys.inductor;
+  buck.cap_kind = sys.cap_kind;
+  c.buck = prepare_buck(buck, sys.vin_v);
   const double duty0 = sys.vout_v / sys.vin_v;
   c.buck_sd = std::sqrt(duty0);
   c.buck_si = std::sqrt(1.0 - duty0);
@@ -307,6 +285,8 @@ FunnelCtx build_ctx(const SystemParams& sys, const FunnelSpec& spec) {
   c.buck_util = linspace(0.03, 1.00, spec.buck_util_steps);
   c.buck_fsw = logspace(2e6, 1e9, spec.buck_fsw_steps);
   c.buck_lmult.reserve(c.buck_fsw.size());
+  // inductance_at scales linearly in L0, so its rolloff multiplier is
+  // tabulated once per fsw grid step.
   for (const double f : c.buck_fsw) c.buck_lmult.push_back(c.ind->inductance_at(1.0, f));
   c.ldo_decap = linspace(0.20, 0.80, spec.ldo_decap_steps);
   c.ldo_drop = linspace(0.08, 0.45, spec.ldo_drop_steps);
@@ -327,51 +307,20 @@ FunnelCtx build_ctx(const SystemParams& sys, const FunnelSpec& spec) {
     for (const ScFamily family :
          ratio.second == 1 ? std::vector<ScFamily>{ScFamily::Ladder, ScFamily::SeriesParallel}
                            : std::vector<ScFamily>{ScFamily::Ladder}) {
-      const ScStaticAnalysis& st = sc_static_analysis(ratio.first, ratio.second, family);
-      // Plan-level capacitor voltage-rating check (mirrors analyze_at's
-      // require): a variant whose caps exceed the technology rating can
-      // never survive, so it is excluded from the candidate space instead
-      // of producing millions of identical skips.
-      double worst_cap_ratio = 0.0;
-      for (const ScCap& cc : st.topo.caps)
-        worst_cap_ratio = std::max(worst_cap_ratio, cc.ideal_v_ratio);
-      if (worst_cap_ratio * sys.vin_v > c.cap->vmax_v * 1.05) continue;
-
-      ScVariantConst v;
-      v.n = ratio.first;
-      v.m = ratio.second;
-      v.family = family;
-      v.ratio = st.topo.ideal_ratio();
-      v.videal = v.ratio * sys.vin_v;
-      v.sum_ac = st.cv.sum_ac();
-      v.sum_ar = st.cv.sum_ar();
-      const tech::SwitchTech& io_dev = tech::switch_tech(sys.node, tech::DeviceClass::Io);
-      const std::size_t n_sw = st.topo.switches.size();
-      for (std::size_t i = 0; i < n_sw; ++i) {
-        const double weight =
-            std::max(st.cv.a_switch[i], 0.02 * v.sum_ar / static_cast<double>(n_sw));
-        const double share = weight / v.sum_ar;  // g_i = share * g_tot
-        const double v_block = st.stress[i] * sys.vin_v;
-        const tech::SwitchTech& dev = v_block > c.core_dev->vmax_v ? io_dev : *c.core_dev;
-        v.k_area_g += share * dev.ron_w_ohm_m * dev.area_per_w_m;
-        v.kgate_pg += share * dev.ron_w_ohm_m * dev.cgate_per_w_f_m * dev.vdd_nom_v *
-                      dev.vdd_nom_v;
-        v.kleak_pg += 0.5 * share * dev.ron_w_ohm_m * dev.ileak_per_w_a_m * v_block;
-        v.kcgate_pg += share * dev.ron_w_ohm_m * dev.cgate_per_w_f_m;
-      }
-      v.vcap = sys.vin_v * (st.topo.caps.empty() ? 1.0 : st.topo.caps.front().ideal_v_ratio);
-      v.kappa = 0.5;
-      if (family == ScFamily::SeriesParallel) {
-        const double chain = static_cast<double>(v.n - 1);
-        v.kappa = 0.5 * (1.0 + 1.0 / (chain * chain));
-      }
+      ScVariant v;
+      v.design.node = sys.node;
+      v.design.cap_kind = sys.cap_kind;
+      v.design.n = ratio.first;
+      v.design.m = ratio.second;
+      v.design.family = family;
+      v.k = prepare_sc(v.design, sys.vin_v);
+      // A variant whose caps exceed the technology rating can never survive
+      // analyze_sc's check, so it is excluded from the candidate space
+      // instead of producing millions of identical skips.
+      if (!v.k.cap_rating_ok) continue;
       c.sc_variants.push_back(v);
     }
   }
-
-  for (int il = 0; il < kIlSteps; ++il)
-    c.sc_per_area[il] = peripheral_area(*c.core_dev, 2 * (1 << il));
-  for (const int ph : c.buck_phases) c.buck_per_area.push_back(peripheral_area(*c.core_dev, ph));
 
   for (int bits : {6, 7, 8, 9})
     for (int n_comp : {1, 2, 4, 8}) c.dldo_variants.emplace_back(bits, n_comp);
@@ -391,7 +340,7 @@ FunnelCtx build_ctx(const SystemParams& sys, const FunnelSpec& spec) {
           p.count = inner;
           p.i_ivr = h * sys.p_load_w / sys.vout_v / dist;
           p.area_ivr = sys.area_max_m2 / dist;
-          p.usable = p.area_ivr / 1.15;
+          p.usable = p.area_ivr / kWiringOverhead;
           if (h < 1.0) {
             const double p_vrm_out = (1.0 - h) * sys.p_load_w;
             const pdn::VrmModel vrm = pdn::VrmModel::board_vrm(
@@ -420,192 +369,121 @@ FunnelCtx build_ctx(const SystemParams& sys, const FunnelSpec& spec) {
 
 // Shared tail: system-level metrics from per-IVR input power and IVR-rail
 // ripple/area. Hybrid candidates add the plan-constant VRM input power.
-inline void fill_metrics(const FunnelCtx& c, const Plan& p, double p_in_ivr, double ripple,
-                         double area_ivr_total, ScreenMetrics& m) {
+void fill_metrics(const FunnelCtx& c, const Plan& p, double p_in_ivr, double ripple,
+                  double area_ivr_total, ScreenMetrics& m) {
   m.efficiency = c.sys.p_load_w /
                  (static_cast<double>(p.n_dist) * p_in_ivr + p.p_vrm_in_w);
   m.ripple_pp_v = ripple;
   m.area_m2 = area_ivr_total * static_cast<double>(p.n_dist);
-}
-
-void check_screen_finite(const ScreenMetrics& m) {
   if (!(std::isfinite(m.efficiency) && std::isfinite(m.area_m2) &&
         std::isfinite(m.ripple_pp_v)))
     throw NonFiniteError("funnel_screen: non-finite screen metric");
 }
 
-// SC sizing shared by the screen and the frontier re-derivation.
-struct ScSizing {
-  double c_fly = 0.0, c_out = 0.0, g_tot = 0.0;
-  double area_caps = 0.0, area_sw = 0.0;
-  int n_il = 1;
-  double f_max = 0.0;   // design (peak-regulation) frequency
-  double f_used = 0.0;  // pulse-skipped frequency at the average load
-  bool viable = false;  // passes the FSL floor and sane-frequency gates
-};
+// One evaluation per topology, shared by the screen and the frontier's
+// design record: sizes candidate `local` of plan `p`, runs it through the
+// topology's analyzer (the SC and buck kernels on the plan's prepared part;
+// the LDO/DLDO analyzers whole), fills `m` once the candidate is viable and
+// returns whether it meets the ripple and area constraints. With `r`, the
+// design is recorded there too.
 
-ScSizing sc_sizing(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
-  const ScVariantConst& v = c.sc_variants[static_cast<std::size_t>(p.variant)];
-  const int il_idx = static_cast<int>(local % kIlSteps);
+// SC: capacitor area share x output-decap share x interleave. The design
+// frequency holds regulation at the peak load, and analyze_sc_regulated's
+// pulse skipping sets the effective rate at the average load (as
+// optimize_sc).
+bool eval_sc(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m,
+             DseResult* r) {
+  const ScVariant& v = c.sc_variants[static_cast<std::size_t>(p.variant)];
   const std::uint64_t rest = local / kIlSteps;
   const double y = c.sc_out_frac[rest % c.sc_out_frac.size()];
   const double x = c.sc_split[rest / c.sc_out_frac.size()];
+  if (r) {
+    r->topology = IvrTopology::SwitchedCapacitor;
+    r->label = std::to_string(v.design.n) + ":" + std::to_string(v.design.m) + " SC";
+  }
 
   ScSizing s;
-  s.n_il = 1 << il_idx;
-  s.area_caps = x * p.usable;
-  s.area_sw = (1.0 - x) * p.usable * 0.95;  // 5% peripheral, as optimize_sc.
-  const double c_total = s.area_caps * c.cap->density_f_m2;
-  s.c_fly = (1.0 - y) * c_total;
-  s.c_out = y * c_total;
-  s.g_tot = s.area_sw / v.k_area_g;
+  s.n_interleave = 1 << static_cast<int>(local % kIlSteps);
+  const double c_total = x * p.usable * c.cap->density_f_m2;
+  s.c_fly_f = (1.0 - y) * c_total;
+  s.c_out_f = y * c_total;
+  s.g_tot_s = (1.0 - x) * p.usable * 0.95 / v.k.area_per_s;  // 5% peripheral.
 
-  const double rfsl = v.sum_ar * v.sum_ar / (s.g_tot * 0.5);
-  const double r_needed_peak = (v.videal - c.sys.vout_v) / (kPeakLoadFactor * p.i_ivr);
-  if (r_needed_peak <= rfsl * 1.02) return s;  // FSL floor: cannot regulate at peak.
-  const double rssl_peak = std::sqrt(r_needed_peak * r_needed_peak - rfsl * rfsl);
-  s.f_max = v.sum_ac * v.sum_ac / (s.c_fly * rssl_peak);
-  if (s.f_max < 1e5 || s.f_max > 5e9) return s;
-  // Regulated at the average load: r_needed_avg = 2.5 * r_needed_peak always
-  // clears the feasibility floor hypot(rssl_peak, rfsl) = r_needed_peak.
-  const double r_needed_avg = (v.videal - c.sys.vout_v) / p.i_ivr;
-  const double rssl_needed = std::sqrt(r_needed_avg * r_needed_avg - rfsl * rfsl);
-  s.f_used = v.sum_ac * v.sum_ac / (s.c_fly * rssl_needed);
-  s.viable = true;
-  return s;
+  const double r_needed_peak = (v.k.vout_ideal_v - c.sys.vout_v) / (kPeakLoadFactor * p.i_ivr);
+  if (r_needed_peak <= sc_rfsl(v.k, s) * 1.02) return false;  // FSL floor at the peak.
+  s.f_sw_hz = sc_frequency_for(v.k, s, r_needed_peak);
+  if (s.f_sw_hz < 1e5 || s.f_sw_hz > 5e9) return false;
+  // r_needed at the average load is kPeakLoadFactor x r_needed_peak, which
+  // always clears the regulator's floor hypot(R_SSL(f_max), R_FSL) =
+  // r_needed_peak.
+  const double f_used = sc_frequency_for(v.k, s, (v.k.vout_ideal_v - c.sys.vout_v) / p.i_ivr);
+  IVORY_CHECK_FINITE(f_used, "funnel_screen");
+  ScAnalysis a;
+  sc_evaluate(v.k, s, f_used, p.i_ivr, a);
+  fill_metrics(c, p, a.p_in_w, a.ripple_pp_v, a.area_m2, m);
+  if (r) {
+    r->sc = v.design;
+    r->sc.set_sizing(s);
+    r->f_sw_hz = f_used;
+    r->n_interleave = s.n_interleave;
+  }
+  return a.ripple_pp_v <= c.sys.ripple_max_v * 1.05 && a.area_m2 <= p.area_ivr * 1.02;
 }
 
-// Closed-form mirror of evaluate_split + analyze_sc_regulated + analyze_at.
-bool screen_sc(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m) {
-  const ScVariantConst& v = c.sc_variants[static_cast<std::size_t>(p.variant)];
-  const ScSizing s = sc_sizing(c, p, local);
-  if (!s.viable) return false;
-
-  const double i = p.i_ivr;
-  const double p_gate = s.f_used * v.kgate_pg * s.g_tot;
-  const double p_bp = 0.25 * s.f_used * c.cap->bottom_plate_ratio * s.c_fly * v.videal * v.videal;
-  const double p_leak = c.cap->leak_a_per_f * s.c_fly * v.vcap + v.kleak_pg * s.g_tot;
-  // Peripheral: controller/clock/comparator run at the *design* frequency
-  // (pulse skipping does not gate them); the driver term scales with the
-  // effective rate. Mirrors analyze_at's peripheral_budget call.
-  const int phases = 2 * s.n_il;
-  const double cgvdd2 = c.ugc * c.vdd_core * c.vdd_core;
-  const double f_ctrl = s.f_max * static_cast<double>(phases);
-  const double p_per = 1500.0 * 0.2 * cgvdd2 * f_ctrl +
-                       200.0 * static_cast<double>(phases) * 0.2 * cgvdd2 * s.f_max +
-                       50.0 * cgvdd2 * f_ctrl +
-                       0.3 * v.kcgate_pg * s.g_tot * c.vdd_core * c.vdd_core * s.f_used;
-  const double p_in = c.sys.vin_v * v.ratio * i + p_gate + p_bp + p_leak + p_per;
-
-  const double c_hf = s.c_out + v.kappa * s.c_fly;
-  const double ripple = i / (static_cast<double>(s.n_il) * s.f_used * std::max(c_hf, 1e-18));
-  const int il_idx = static_cast<int>(local % kIlSteps);
-  const double area_model = 1.15 * (s.area_caps + s.area_sw + c.sc_per_area[il_idx]);
-
-  fill_metrics(c, p, p_in, ripple, area_model, m);
-  check_screen_finite(m);
-  return ripple <= c.sys.ripple_max_v * 1.05 && area_model <= p.area_ivr * 1.02;
-}
-
-// Buck sizing shared by the screen and the frontier re-derivation.
-struct BuckSizing {
-  double l_phase = 0.0, c_out = 0.0, w_hs = 0.0, w_ls = 0.0, f_sw = 0.0;
-  double area_l = 0.0, area_sw = 0.0, area_c = 0.0;
-  bool viable = false;
-};
-
-BuckSizing buck_sizing(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
-  const double nn = static_cast<double>(c.buck_phases[static_cast<std::size_t>(p.variant)]);
+// Buck: inductor area share x switch utilization x log-spaced f_sw.
+bool eval_buck(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m,
+               DseResult* r) {
+  const int n_phases = c.buck_phases[static_cast<std::size_t>(p.variant)];
+  const double nn = static_cast<double>(n_phases);
   const std::uint64_t f_idx = local % c.buck_fsw.size();
   const std::uint64_t rest = local / c.buck_fsw.size();
   const double util = c.buck_util[rest % c.buck_util.size()];
   const double l_frac = c.buck_l_frac[rest / c.buck_util.size()];
-
-  BuckSizing s;
-  s.f_sw = c.buck_fsw[f_idx];
-  s.area_l = l_frac * p.usable;
-  const double rest_a = (1.0 - l_frac) * p.usable;
-  s.area_sw = 0.4 * rest_a * util;
-  s.area_c = 0.55 * rest_a;  // 5% peripheral, as optimize_buck.
-  const double l_total = s.area_l * c.ind->density_h_m2;
-  s.l_phase = l_total / nn;
-  s.c_out = s.area_c * c.cap->density_f_m2;
-  const double w_total = s.area_sw / c.pass_dev->area_per_w_m;
-  s.w_hs = w_total / nn * c.buck_sd / (c.buck_sd + c.buck_si);
-  s.w_ls = w_total / nn * c.buck_si / (c.buck_sd + c.buck_si);
-  s.viable = s.l_phase > 0.0 && s.c_out > 0.0 && s.w_hs > 0.0;
-  return s;
-}
-
-// Closed-form mirror of analyze_buck (with the per-frequency inductance
-// rolloff multiplier precomputed per fsw grid step).
-bool screen_buck(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m) {
-  const BuckSizing s = buck_sizing(c, p, local);
-  if (!s.viable) return false;
-  const tech::SwitchTech& dev = *c.pass_dev;
-  const int n_phases = c.buck_phases[static_cast<std::size_t>(p.variant)];
-  const double nn = static_cast<double>(n_phases);
-  const double i = p.i_ivr, i_ph = i / nn;
-  const double vin = c.sys.vin_v, vout = c.sys.vout_v;
-  const double f = s.f_sw;
-
-  const double l_eff = s.l_phase * c.buck_lmult[local % c.buck_fsw.size()];
-  const double r_hs = dev.ron_w_ohm_m / s.w_hs;
-  const double r_ls = dev.ron_w_ohm_m / s.w_ls;
-  const double r_dcr = c.ind->dcr_ohm_per_h * s.l_phase;
-
-  double duty = vout / vin;
-  for (int pass = 0; pass < 2; ++pass) {
-    const double drop_on = i_ph * (r_hs + r_dcr);
-    const double drop_off = i_ph * (r_ls + r_dcr);
-    duty = (vout + drop_off) / std::max(vin - drop_on + drop_off, 1e-9);
+  if (r) {
+    r->topology = IvrTopology::Buck;
+    r->label = "buck";
   }
-  if (!(duty > 0.0 && duty < 1.0)) return false;  // Unreachable operating point.
 
-  const double i_rip = (vin - vout) * duty / (l_eff * f);
-  if (i_rip > 2.0 * i_ph) return false;  // Require CCM, as optimize_buck.
-  const double nd = nn * duty;
-  const double frac = nd - std::floor(nd);
-  const double canc =
-      n_phases == 1 ? 1.0 : frac * (1.0 - frac) / (nn * duty * (1.0 - duty));
-  const double i_ro = i_rip * canc;
+  BuckDesign d;
+  d.node = c.sys.node;
+  d.inductor = c.sys.inductor;
+  d.cap_kind = c.sys.cap_kind;
+  d.n_phases = n_phases;
+  d.f_sw_hz = c.buck_fsw[f_idx];
+  const double rest_a = (1.0 - l_frac) * p.usable;
+  d.l_per_phase_h = l_frac * p.usable * c.ind->density_h_m2 / nn;
+  d.c_out_f = 0.55 * rest_a * c.cap->density_f_m2;  // 5% peripheral, as optimize_buck.
+  const double w_total = 0.4 * rest_a * util / c.pass_dev->area_per_w_m;
+  d.w_high_m = w_total / nn * c.buck_sd / (c.buck_sd + c.buck_si);
+  d.w_low_m = w_total / nn * c.buck_si / (c.buck_sd + c.buck_si);
+  if (!(d.l_per_phase_h > 0.0 && d.c_out_f > 0.0 && d.w_high_m > 0.0)) return false;
 
-  const double p_out = vout * i;
-  const double i_sq = i_ph * i_ph + i_rip * i_rip / 12.0;
-  const double r_eff = duty * r_hs + (1.0 - duty) * r_ls + r_dcr;
-  const double p_cond = nn * i_sq * r_eff;
-  const double v_drive = std::min(dev.vdd_nom_v, vin);
-  const double cg_phase = dev.cgate_per_w_f_m * (s.w_hs + s.w_ls);
-  const double p_gate = nn * f * cg_phase * v_drive * v_drive;
-  const double t_tr = 4.0 * dev.fom_s();
-  const double p_overlap = nn * vin * i_ph * t_tr * f;
-  const double cd_phase = dev.cdrain_per_w_f_m * (s.w_hs + s.w_ls);
-  const double p_coss = nn * f * cd_phase * vin * vin;
-  const double p_dead = nn * 2.0 * f * (2.0 * t_tr) * i_ph * 0.65;
-  const double cgvdd2 = c.ugc * c.vdd_core * c.vdd_core;
-  const double f_ctrl = f * nn;
-  const double p_per = 1500.0 * 0.2 * cgvdd2 * f_ctrl + 200.0 * nn * 0.2 * cgvdd2 * f +
-                       50.0 * cgvdd2 * f_ctrl + 0.3 * nn * cg_phase * v_drive * v_drive * f;
-  const double p_in = p_out + p_cond + p_gate + p_overlap + p_coss + p_dead + p_per;
-
-  const double f_eff = nn * f;
-  const double ripple = i_ro / (8.0 * f_eff * s.c_out) + i_ro * (c.cap->esr_ohm_f / s.c_out);
-  const double per_area = c.buck_per_area[static_cast<std::size_t>(p.variant)];
-  const double area_die = 1.15 * (s.area_sw + s.area_c + per_area +
-                                  (c.ind->on_die ? s.area_l : 0.0));
-  const double area_total = area_die + (c.ind->on_die ? 0.0 : s.area_l);
-
-  fill_metrics(c, p, p_in, ripple, area_total, m);
-  check_screen_finite(m);
-  return ripple <= c.sys.ripple_max_v && area_die <= p.area_ivr * 1.02;
+  BuckAnalysis a;
+  const double l_eff = d.l_per_phase_h * c.buck_lmult[f_idx];
+  if (!buck_operating_point(c.buck, d, l_eff, c.sys.vout_v, p.i_ivr, a))
+    return false;  // Unreachable operating point.
+  if (a.i_ripple_phase_a > 2.0 * (p.i_ivr / nn)) return false;  // Require CCM.
+  buck_evaluate(c.buck, d, c.sys.vout_v, p.i_ivr, a);
+  fill_metrics(c, p, a.p_in_w, a.ripple_pp_v, a.area_m2, m);
+  if (r) {
+    r->buck = d;
+    r->f_sw_hz = d.f_sw_hz;
+    r->n_interleave = n_phases;
+  }
+  return a.ripple_pp_v <= c.sys.ripple_max_v && a.area_die_m2 <= p.area_ivr * 1.02;
 }
 
-// LDO/DLDO spaces are small; both call the real analyzers directly and treat
+// LDO/DLDO spaces are small; both call the real analyzers and treat
 // InvalidParameter (pass device too narrow, etc.) as a domain rejection —
 // exactly the optimizer's convention.
-LdoDesign ldo_design_at(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
+bool eval_ldo(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m,
+              DseResult* r) {
   const double drop_frac = c.ldo_drop[local % c.ldo_drop.size()];
   const double decap_frac = c.ldo_decap[local / c.ldo_drop.size()];
+  if (r) {
+    r->topology = IvrTopology::LinearRegulator;
+    r->label = "LDO";
+  }
   LdoDesign d;
   d.node = c.sys.node;
   d.cap_kind = c.sys.cap_kind;
@@ -616,25 +494,28 @@ LdoDesign ldo_design_at(const FunnelCtx& c, const Plan& p, std::uint64_t local) 
   const double i_lsb = (c.sys.vin_v - c.sys.vout_v) / r_pass / std::pow(2.0, d.n_bits);
   d.f_clk_hz = std::clamp(i_lsb / (0.8 * c.sys.ripple_max_v * d.c_out_f), 10e6, 3e9);
   d.i_quiescent_a = 0.002 * p.i_ivr;
-  return d;
-}
-
-bool screen_ldo(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m) {
-  const LdoDesign d = ldo_design_at(c, p, local);
   try {
     const LdoAnalysis a = analyze_ldo(d, c.sys.vin_v, c.sys.vout_v, p.i_ivr);
     fill_metrics(c, p, a.p_in_w, a.ripple_pp_v, a.area_m2, m);
-    check_screen_finite(m);
+    if (r) {
+      r->ldo = d;
+      r->f_sw_hz = d.f_clk_hz;
+    }
     return a.ripple_pp_v <= c.sys.ripple_max_v && a.area_m2 <= p.area_ivr * 1.05;
   } catch (const InvalidParameter&) {
     return false;
   }
 }
 
-DldoDesign dldo_design_at(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
+bool eval_dldo(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m,
+               DseResult* r) {
   const auto& [bits, n_comp] = c.dldo_variants[static_cast<std::size_t>(p.variant)];
   const double decap_frac = c.dldo_decap[local % c.dldo_decap.size()];
   const double margin = c.dldo_margin[local / c.dldo_decap.size()];
+  if (r) {
+    r->topology = IvrTopology::DigitalLdo;
+    r->label = "DLDO x" + std::to_string(n_comp);
+  }
   DldoDesign d;
   d.node = c.sys.node;
   d.cap_kind = c.sys.cap_kind;
@@ -650,28 +531,27 @@ DldoDesign dldo_design_at(const FunnelCtx& c, const Plan& p, std::uint64_t local
   const double f_slew = segments / (1e-6 * static_cast<double>(n_comp));
   d.f_clk_hz = std::clamp(margin * std::max(f_ripple, f_slew), 10e6, 3e9);
   d.i_quiescent_a = 0.002 * p.i_ivr;
-  return d;
-}
-
-bool screen_dldo(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m) {
-  const DldoDesign d = dldo_design_at(c, p, local);
   try {
     const DldoAnalysis a = analyze_dldo(d, c.sys.vin_v, c.sys.vout_v, p.i_ivr);
     fill_metrics(c, p, a.p_in_w, a.ripple_pp_v, a.area_m2, m);
-    check_screen_finite(m);
+    if (r) {
+      r->dldo = d;
+      r->f_sw_hz = d.f_clk_hz;
+      r->n_interleave = n_comp;
+    }
     return a.ripple_pp_v <= c.sys.ripple_max_v && a.area_m2 <= p.area_ivr * 1.05;
   } catch (const InvalidParameter&) {
     return false;
   }
 }
 
-bool screen_candidate(const FunnelCtx& c, const Plan& p, std::uint64_t local,
-                      ScreenMetrics& m) {
+bool evaluate_candidate(const FunnelCtx& c, const Plan& p, std::uint64_t local,
+                        ScreenMetrics& m, DseResult* r = nullptr) {
   switch (p.kind) {
-    case PlanKind::Sc: return screen_sc(c, p, local, m);
-    case PlanKind::Buck: return screen_buck(c, p, local, m);
-    case PlanKind::Ldo: return screen_ldo(c, p, local, m);
-    case PlanKind::Dldo: return screen_dldo(c, p, local, m);
+    case PlanKind::Sc: return eval_sc(c, p, local, m, r);
+    case PlanKind::Buck: return eval_buck(c, p, local, m, r);
+    case PlanKind::Ldo: return eval_ldo(c, p, local, m, r);
+    case PlanKind::Dldo: return eval_dldo(c, p, local, m, r);
   }
   return false;
 }
@@ -682,7 +562,7 @@ std::string plan_label(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
   std::string s;
   switch (p.kind) {
     case PlanKind::Sc: {
-      const ScVariantConst& v = c.sc_variants[static_cast<std::size_t>(p.variant)];
+      const ScDesign& v = c.sc_variants[static_cast<std::size_t>(p.variant)].design;
       s = std::to_string(v.n) + ":" + std::to_string(v.m) +
           (v.family == ScFamily::SeriesParallel ? " series-parallel SC" : " ladder SC");
       break;
@@ -704,124 +584,23 @@ std::string plan_label(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage 2.5: exact static re-derivation of a frontier candidate
+// Stage 2.5: the frontier's design records
 // ---------------------------------------------------------------------------
 
-// Applies the hybrid suffix and the system-level efficiency to a re-derived
-// DseResult. `p_in_ivr` is the per-IVR input power from the full analyzer.
-void finish_design(const FunnelCtx& c, const Plan& p, double p_in_ivr, DseResult& r) {
-  r.efficiency = c.sys.p_load_w /
-                 (static_cast<double>(p.n_dist) * p_in_ivr + p.p_vrm_in_w);
+// The screen's own evaluation, keeping the design; its metrics are the
+// screen's bit for bit.
+DseResult materialize(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
+  DseResult r;
+  r.n_distributed = p.n_dist;
+  ScreenMetrics m;
+  r.feasible = evaluate_candidate(c, p, local, m, &r);
+  r.efficiency = m.efficiency;
+  r.ripple_pp_v = m.ripple_pp_v;
+  r.area_m2 = m.area_m2;
   if (p.h < 1.0) {
     char hbuf[32];
     std::snprintf(hbuf, sizeof(hbuf), " (h=%.2f)", p.h);
     r.label += hbuf;
-  }
-}
-
-DseResult materialize(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
-  DseResult r;
-  r.n_distributed = p.n_dist;
-  switch (p.kind) {
-    case PlanKind::Sc: {
-      r.topology = IvrTopology::SwitchedCapacitor;
-      const ScVariantConst& v = c.sc_variants[static_cast<std::size_t>(p.variant)];
-      r.label = std::to_string(v.n) + ":" + std::to_string(v.m) + " SC";
-      const ScSizing s = sc_sizing(c, p, local);
-      if (!s.viable) return r;
-      ScDesign d;
-      d.node = c.sys.node;
-      d.cap_kind = c.sys.cap_kind;
-      d.n = v.n;
-      d.m = v.m;
-      d.family = v.family;
-      d.c_fly_f = s.c_fly;
-      d.c_out_f = s.c_out;
-      d.g_tot_s = s.g_tot;
-      d.f_sw_hz = s.f_max;
-      d.duty = 0.5;
-      d.n_interleave = s.n_il;
-      const ScRegulated reg = analyze_sc_regulated(d, c.sys.vin_v, c.sys.vout_v, p.i_ivr);
-      if (!reg.feasible) return r;
-      const ScAnalysis& a = reg.analysis;
-      r.feasible = a.ripple_pp_v <= c.sys.ripple_max_v * 1.05 &&
-                   a.area_m2 <= p.area_ivr * 1.02;
-      r.ripple_pp_v = a.ripple_pp_v;
-      r.f_sw_hz = reg.f_sw_used_hz;
-      r.area_m2 = a.area_m2 * p.n_dist;
-      r.n_interleave = s.n_il;
-      r.sc = d;
-      finish_design(c, p, a.p_in_w, r);
-      return r;
-    }
-    case PlanKind::Buck: {
-      r.topology = IvrTopology::Buck;
-      r.label = "buck";
-      const BuckSizing s = buck_sizing(c, p, local);
-      if (!s.viable) return r;
-      BuckDesign d;
-      d.node = c.sys.node;
-      d.inductor = c.sys.inductor;
-      d.cap_kind = c.sys.cap_kind;
-      d.l_per_phase_h = s.l_phase;
-      d.f_sw_hz = s.f_sw;
-      d.n_phases = c.buck_phases[static_cast<std::size_t>(p.variant)];
-      d.w_high_m = s.w_hs;
-      d.w_low_m = s.w_ls;
-      d.c_out_f = s.c_out;
-      try {
-        const BuckAnalysis a = analyze_buck(d, c.sys.vin_v, c.sys.vout_v, p.i_ivr);
-        if (a.i_ripple_phase_a > 2.0 * p.i_ivr / d.n_phases) return r;  // CCM.
-        r.feasible =
-            a.ripple_pp_v <= c.sys.ripple_max_v && a.area_die_m2 <= p.area_ivr * 1.02;
-        r.ripple_pp_v = a.ripple_pp_v;
-        r.f_sw_hz = s.f_sw;
-        r.area_m2 = a.area_m2 * p.n_dist;
-        r.n_interleave = d.n_phases;
-        r.buck = d;
-        finish_design(c, p, a.p_in_w, r);
-      } catch (const InvalidParameter&) {
-        // Domain rejection: the frontier point degrades to infeasible.
-      }
-      return r;
-    }
-    case PlanKind::Ldo: {
-      r.topology = IvrTopology::LinearRegulator;
-      r.label = "LDO";
-      const LdoDesign d = ldo_design_at(c, p, local);
-      try {
-        const LdoAnalysis a = analyze_ldo(d, c.sys.vin_v, c.sys.vout_v, p.i_ivr);
-        r.feasible =
-            a.ripple_pp_v <= c.sys.ripple_max_v && a.area_m2 <= p.area_ivr * 1.05;
-        r.ripple_pp_v = a.ripple_pp_v;
-        r.f_sw_hz = d.f_clk_hz;
-        r.area_m2 = a.area_m2 * p.n_dist;
-        r.ldo = d;
-        finish_design(c, p, a.p_in_w, r);
-      } catch (const InvalidParameter&) {
-      }
-      return r;
-    }
-    case PlanKind::Dldo: {
-      r.topology = IvrTopology::DigitalLdo;
-      const auto& [bits, n_comp] = c.dldo_variants[static_cast<std::size_t>(p.variant)];
-      (void)bits;
-      r.label = "DLDO x" + std::to_string(n_comp);
-      const DldoDesign d = dldo_design_at(c, p, local);
-      try {
-        const DldoAnalysis a = analyze_dldo(d, c.sys.vin_v, c.sys.vout_v, p.i_ivr);
-        r.feasible =
-            a.ripple_pp_v <= c.sys.ripple_max_v && a.area_m2 <= p.area_ivr * 1.05;
-        r.ripple_pp_v = a.ripple_pp_v;
-        r.f_sw_hz = d.f_clk_hz;
-        r.area_m2 = a.area_m2 * p.n_dist;
-        r.n_interleave = n_comp;
-        r.dldo = d;
-        finish_design(c, p, a.p_in_w, r);
-      } catch (const InvalidParameter&) {
-      }
-      return r;
-    }
   }
   return r;
 }
@@ -987,7 +766,7 @@ ParetoFront funnel_explore(const SystemParams& sys, const FunnelSpec& spec,
           ScreenMetrics m;
           bool feasible = false, ok = true;
           try {
-            feasible = screen_candidate(ctx, pl, local, m);
+            feasible = evaluate_candidate(ctx, pl, local, m);
           } catch (...) {
             bo.skips.push_back(
                 diagnose_current_exception("funnel_screen", plan_label(ctx, pl, local)));
@@ -1033,9 +812,9 @@ ParetoFront funnel_explore(const SystemParams& sys, const FunnelSpec& spec,
     throw_all_failed("funnel_explore", merged);
   }
 
-  // Final ordering + front-size cap: best screen efficiency first, candidate
-  // index as the deterministic tie-break. The cap trims the low-efficiency
-  // tail of the front.
+  // Final ordering + front-size cap: best efficiency first (the screen's
+  // numbers are the analyzers'), candidate index as the deterministic
+  // tie-break. The cap trims the low-efficiency tail of the front.
   std::sort(front.begin(), front.end(), [](const FrontEntry& a, const FrontEntry& b) {
     if (a.m.efficiency != b.m.efficiency) return a.m.efficiency > b.m.efficiency;
     return a.index < b.index;
@@ -1044,7 +823,7 @@ ParetoFront funnel_explore(const SystemParams& sys, const FunnelSpec& spec,
   out.stats.frontier_size = front.size();
   out.stats.screen_s = now_s() - t0;
 
-  // --- Stage 2.5: exact static re-derivation of the frontier --------------
+  // --- Stage 2.5: the frontier's design records ---------------------------
   struct PointCell {
     EvalOutcome<ParetoPoint> outcome;
   };

@@ -5,11 +5,11 @@
 //
 // Stage boundaries:
 //   1. *Screen* — millions of candidates, streamed through `parallel_for`
-//      in fixed-size blocks so memory stays bounded. Each candidate is a
-//      pure closed-form evaluation of the memoized static models (the SC
-//      and buck screens mirror analyze_sc_regulated / analyze_buck term by
-//      term with per-plan precomputed coefficients; the small LDO/DLDO
-//      spaces call the real analyzers directly). Per-candidate quarantine:
+//      in fixed-size blocks so memory stays bounded. Each candidate is the
+//      exact static model: the SC and buck screens call the analyzers' own
+//      O(1) evaluation kernels (sc_evaluate, buck_operating_point +
+//      buck_evaluate) on a part prepared once per plan; the small LDO/DLDO
+//      spaces call the real analyzers directly. Per-candidate quarantine:
 //      a candidate whose evaluation throws becomes a recorded skip, never
 //      an aborted sweep.
 //   2. *Extract* — exact non-dominated filtering. Block-local fronts are
@@ -17,10 +17,11 @@
 //      block order, so the front is byte-identical at any thread count.
 //      Tie-break: duplicates and dominated candidates always lose to the
 //      lowest candidate index.
-//   3. *Simulate* — the surviving dozens of frontier points are re-derived
-//      through the exact static models and driven through the combined
-//      cycle + in-cycle dynamic response on a deterministic load-step
-//      trace. Each simulation flows through a content-addressed cache
+//   3. *Simulate* — the surviving dozens of frontier points (ranked and
+//      capped on the screen's numbers, which are the exact ones) get their
+//      design records from the same evaluation and are driven through the
+//      combined cycle + in-cycle dynamic response on a deterministic
+//      load-step trace. Each simulation flows through a content-addressed cache
 //      keyed by the canonical JSON of its inputs, so incremental
 //      re-exploration (one SystemParams field changed) re-simulates only
 //      frontier points whose inputs actually changed.
@@ -99,13 +100,14 @@ bool dominates(const ScreenMetrics& a, const ScreenMetrics& b,
 std::vector<std::size_t> pareto_filter(const std::vector<ScreenMetrics>& pts,
                                        const FunnelObjectives& obj = {});
 
-/// One frontier point: the candidate's screen metrics, its exact static
-/// re-derivation, and (when simulated) the dynamic load-step response.
+/// One frontier point: the candidate's screen metrics, its design record
+/// (whose efficiency, area and ripple equal the screen's bit for bit), and
+/// (when simulated) the dynamic load-step response.
 struct ParetoPoint {
   std::uint64_t index = 0;     ///< global candidate index (the tie-break key)
   double ivr_load_frac = 1.0;  ///< hybrid delivery: IVR share of the load
   ScreenMetrics screen;
-  DseResult design;            ///< exact static re-evaluation
+  DseResult design;            ///< the design and its exact static metrics
   bool simulated = false;
   bool sim_cached = false;     ///< stage-3 result came from the cache
   double droop_pp_v = 0.0;     ///< settled peak-to-peak of the step response

@@ -40,25 +40,34 @@ OwnedStatic static_analysis_for(const ScDesign& d) {
   return s;
 }
 
-// Evaluate at an explicit frequency (regulation modulates frequency).
-ScAnalysis analyze_at(const ScDesign& d, double vin_v, double i_load_a, double f_sw) {
-  const OwnedStatic st = static_analysis_for(d);
-  const ScTopology& topo = st.get().topo;
-  const ChargeVectors& cv = st.get().cv;
-  const std::vector<double>& stress = st.get().stress;
+// Fly-capacitance fraction facing the output, averaged over the two
+// phases. Series-parallel n:1: the parallel phase presents all of C, the
+// series phase a chain of n-1 slices in series (C/(n-1)^2); for 2:1 that
+// makes the FULL fly cap effective at all times (one terminal is always on
+// a stiff rail). Ladder topologies keep roughly the bottom-rung half.
+// Validated against switch-level simulation in the Fig. 9(b) bench.
+double hf_fly_fraction(const ScDesign& d) {
+  const bool series_parallel =
+      !d.custom_topology &&
+      (d.family == ScFamily::SeriesParallel || (d.family == ScFamily::Auto && d.m == 1));
+  if (!series_parallel) return 0.5;
+  const double chain = static_cast<double>(d.n - 1);
+  return 0.5 * (1.0 + 1.0 / (chain * chain));
+}
 
-  const double sum_ac = cv.sum_ac();
-  const double sum_ar = cv.sum_ar();
-
+// Evaluate at an explicit frequency (regulation modulates frequency): the
+// impedances and output power, then the shared per-candidate evaluation.
+ScAnalysis analyze_at(const ScPrepared& k, const ScSizing& s, double vin_v, double i_load_a,
+                      double f_sw) {
   ScAnalysis a;
   a.vin_v = vin_v;
   a.i_load_a = i_load_a;
-  a.vout_ideal_v = topo.ideal_ratio() * vin_v;
+  a.vout_ideal_v = k.vout_ideal_v;
 
   // Interleaving slices the converter N ways at the same frequency: output
   // impedance is unchanged (each slice has C/N, G/N but N run in parallel).
-  a.rssl_ohm = sum_ac * sum_ac / (d.c_fly_f * f_sw);
-  a.rfsl_ohm = sum_ar * sum_ar / (d.g_tot_s * d.duty);
+  a.rssl_ohm = k.sum_ac * k.sum_ac / (s.c_fly_f * f_sw);
+  a.rfsl_ohm = sc_rfsl(k, s);
   a.rout_ohm = std::hypot(a.rssl_ohm, a.rfsl_ohm);
   // Guard before the vout feasibility check below: a NaN output impedance
   // must surface as NonFiniteError, not as a bogus "load collapses the
@@ -70,80 +79,13 @@ ScAnalysis analyze_at(const ScDesign& d, double vin_v, double i_load_a, double f
   a.p_out_w = a.vout_v * i_load_a;
   a.p_conduction_w = i_load_a * i_load_a * a.rout_ohm;
 
-  // Per-switch device selection and gate energy. Conductance allocation is
-  // optimal (G_i ~ |a_r,i|); width follows from the selected device class.
-  const tech::SwitchTech& core_dev = tech::switch_tech(d.node, tech::DeviceClass::Core);
-  const tech::SwitchTech& io_dev = tech::switch_tech(d.node, tech::DeviceClass::Io);
-  double p_gate = 0.0, p_sw_leak = 0.0, width_total = 0.0, area_sw = 0.0;
-  for (std::size_t i = 0; i < topo.switches.size(); ++i) {
-    const double weight = std::max(cv.a_switch[i], 0.02 * sum_ar /
-                                                       static_cast<double>(topo.switches.size()));
-    const double g_i = d.g_tot_s * weight / sum_ar;
-    const double v_block = stress[i] * vin_v;
-    const bool needs_io = v_block > core_dev.vmax_v;
-    const tech::SwitchTech& dev = needs_io ? io_dev : core_dev;
-    const double w_i = dev.ron_w_ohm_m * g_i;  // W = RonW * G.
-    width_total += w_i;
-    area_sw += dev.area(w_i);
-    const double v_drive = dev.vdd_nom_v;
-    p_gate += f_sw * dev.cgate(w_i) * v_drive * v_drive;
-    // Off half the time, blocking v_block.
-    p_sw_leak += 0.5 * dev.leakage(w_i) * v_block;
-  }
-  a.switch_width_m = width_total;
-  a.area_switches_m2 = area_sw;
-
-  // Bottom-plate loss: the parasitic bottom plate of every fly cap swings by
-  // about one output voltage each cycle. Modern SC IVRs recover most of that
-  // charge with bottom-plate charge recycling (Tong et al., CICC'13 — the
-  // paper's ref [4]); the factor keeps the unrecovered quarter.
-  constexpr double kBottomPlateResidual = 0.25;
-  const tech::CapacitorTech cap = d.capacitor();
   // Capacitor voltage-rating check: graded-voltage families (Dickson) stack
   // k*Vin/n across their upper caps, which on-chip capacitors often cannot
   // take — the reason the paper restricts itself to equal-rating families.
-  double worst_cap_ratio = 0.0;
-  for (const ScCap& cc : topo.caps) worst_cap_ratio = std::max(worst_cap_ratio, cc.ideal_v_ratio);
-  require(worst_cap_ratio * vin_v <= cap.vmax_v * 1.05,
+  require(k.cap_rating_ok,
           "analyze_sc: a capacitor's held voltage exceeds the technology's rating");
-  const double v_bp = a.vout_ideal_v;
-  a.p_bottom_plate_w =
-      kBottomPlateResidual * f_sw * cap.bottom_plate_ratio * d.c_fly_f * v_bp * v_bp;
-
-  // Capacitor (gate-oxide) leakage at the cap's held voltage (Vin/n for the
-  // built-in families; the topology's own rating for custom networks).
-  const double v_cap =
-      vin_v * (topo.caps.empty() ? 1.0 : topo.caps.front().ideal_v_ratio);
-  a.p_leakage_w = cap.leak_a_per_f * d.c_fly_f * v_cap + p_sw_leak;
-
-  // Shared peripheral blocks. The controller/comparator/clock run at the
-  // *design* frequency even when the regulation loop skips pulses (f_sw here
-  // may be the lower effective rate) — this fixed overhead is what bends
-  // measured SC efficiency below the ideal vout/videal slope at light
-  // output. The driver term is scaled back to the effective rate.
-  const double c_gate_total = p_gate / (f_sw * core_dev.vdd_nom_v * core_dev.vdd_nom_v);
-  const PeripheralBudget per =
-      peripheral_budget(d.node, d.f_sw_hz, 2 * d.n_interleave,
-                        c_gate_total * (f_sw / d.f_sw_hz), core_dev.vdd_nom_v);
-  a.p_gate_w = p_gate;
-  a.p_peripheral_w = per.total_power();
-
-  // Input power: ideal transformer charge ratio plus all shunt losses
-  // (conduction loss is already inside the vin*(m/n)*I - vout*I gap).
-  a.p_in_w = vin_v * topo.ideal_ratio() * i_load_a + a.p_gate_w + a.p_bottom_plate_w +
-             a.p_leakage_w + a.p_peripheral_w;
+  sc_evaluate(k, s, f_sw, i_load_a, a);
   a.efficiency = a.p_out_w / a.p_in_w;
-
-  // Output ripple: one interleave slice delivers its charge packet every
-  // 1/(N*f) seconds into the high-frequency output capacitance.
-  a.ripple_pp_v = i_load_a / (static_cast<double>(d.n_interleave) * f_sw) /
-                  std::max(sc_output_hf_cap(d), 1e-18);
-
-  a.area_caps_m2 = cap.area(d.c_fly_f) + (d.c_out_f > 0.0 ? cap.area(d.c_out_f) : 0.0);
-  // peripheral_budget already replicates the clock/comparator per phase.
-  a.area_peripheral_m2 = per.area_m2;
-  // 15% wiring/keep-out overhead.
-  a.area_m2 = 1.15 * (a.area_caps_m2 + a.area_switches_m2 + a.area_peripheral_m2);
   IVORY_CHECK_FINITE(a.efficiency, "analyze_sc");
   IVORY_CHECK_FINITE(a.ripple_pp_v, "analyze_sc");
   IVORY_CHECK_FINITE(a.area_m2, "analyze_sc");
@@ -152,13 +94,59 @@ ScAnalysis analyze_at(const ScDesign& d, double vin_v, double i_load_a, double f
 
 }  // namespace
 
+ScPrepared prepare_sc(const ScDesign& d, double vin_v) {
+  const OwnedStatic st = static_analysis_for(d);
+  const ScTopology& topo = st.get().topo;
+  const ChargeVectors& cv = st.get().cv;
+  const std::vector<double>& stress = st.get().stress;
+
+  ScPrepared k;
+  k.vin_v = vin_v;
+  k.ratio = topo.ideal_ratio();
+  k.vout_ideal_v = k.ratio * vin_v;
+  k.sum_ac = cv.sum_ac();
+  k.sum_ar = cv.sum_ar();
+
+  // Per-switch device selection. Conductance allocation is optimal
+  // (G_i ~ |a_r,i|, floored at 2% of the mean share); width follows from
+  // the selected device class (W = RonW * G).
+  const tech::SwitchTech& core_dev = tech::switch_tech(d.node, tech::DeviceClass::Core);
+  const tech::SwitchTech& io_dev = tech::switch_tech(d.node, tech::DeviceClass::Io);
+  const std::size_t n_sw = topo.switches.size();
+  for (std::size_t i = 0; i < n_sw; ++i) {
+    const double share =
+        std::max(cv.a_switch[i], 0.02 * k.sum_ar / static_cast<double>(n_sw)) / k.sum_ar;
+    const double v_block = stress[i] * vin_v;
+    const tech::SwitchTech& dev = v_block > core_dev.vmax_v ? io_dev : core_dev;
+    k.width_per_s += share * dev.ron_w_ohm_m;
+    k.area_per_s += share * dev.ron_w_ohm_m * dev.area_per_w_m;
+    k.gate_cv2_per_s +=
+        share * dev.ron_w_ohm_m * dev.cgate_per_w_f_m * dev.vdd_nom_v * dev.vdd_nom_v;
+    // Off half the time, blocking v_block.
+    k.leak_w_per_s += 0.5 * share * dev.ron_w_ohm_m * dev.ileak_per_w_a_m * v_block;
+  }
+
+  k.per = peripheral_tech(d.node);
+  k.gate_c_core_per_s = k.gate_cv2_per_s / (k.per.vdd_v * k.per.vdd_v);
+
+  k.cap = d.capacitor();
+  double worst_cap_ratio = 0.0;
+  for (const ScCap& cc : topo.caps) worst_cap_ratio = std::max(worst_cap_ratio, cc.ideal_v_ratio);
+  k.cap_rating_ok = worst_cap_ratio * vin_v <= k.cap.vmax_v * 1.05;
+  // Vin/n for the built-in families; the topology's own rating for custom
+  // networks.
+  k.v_cap_v = vin_v * (topo.caps.empty() ? 1.0 : topo.caps.front().ideal_v_ratio);
+  k.hf_fly_fraction = hf_fly_fraction(d);
+  return k;
+}
+
 ScAnalysis analyze_sc(const ScDesign& d, double vin_v, double i_load_a) {
   check_design(d);
   IVORY_CHECK_FINITE(vin_v, "analyze_sc");
   IVORY_CHECK_FINITE(i_load_a, "analyze_sc");
   require(vin_v > 0.0, "analyze_sc: vin must be positive");
   require(i_load_a > 0.0, "analyze_sc: load current must be positive");
-  return analyze_at(d, vin_v, i_load_a, d.f_sw_hz);
+  return analyze_at(prepare_sc(d, vin_v), d.sizing(), vin_v, i_load_a, d.f_sw_hz);
 }
 
 ScRegulated analyze_sc_regulated(const ScDesign& d, double vin_v, double vout_target_v,
@@ -171,50 +159,32 @@ ScRegulated analyze_sc_regulated(const ScDesign& d, double vin_v, double vout_ta
   require(vout_target_v > 0.0, "analyze_sc_regulated: vout target must be positive");
   require(i_load_a > 0.0, "analyze_sc_regulated: load current must be positive");
 
-  const OwnedStatic st = static_analysis_for(d);
-  const ChargeVectors& cv = st.get().cv;
-  const double sum_ac = cv.sum_ac();
-  const double sum_ar = cv.sum_ar();
-  const double vout_ideal = st.get().topo.ideal_ratio() * vin_v;
-  const double rfsl = sum_ar * sum_ar / (d.g_tot_s * d.duty);
+  const ScPrepared k = prepare_sc(d, vin_v);
+  const ScSizing s = d.sizing();
+  const double rfsl = sc_rfsl(k, s);
   // A NaN charge-multiplier sum would sail through the feasibility
   // comparisons below (NaN compares false) and reach analyze_at; stop it
   // here with the proper classification.
   IVORY_CHECK_FINITE(rfsl, "analyze_sc_regulated");
 
   ScRegulated out;
-  const double r_needed = (vout_ideal - vout_target_v) / i_load_a;
+  const double r_needed = (k.vout_ideal_v - vout_target_v) / i_load_a;
   // Feasibility: R_out is sqrt(rssl^2 + rfsl^2) >= rfsl, and rssl can only be
   // *raised* by slowing down from the design frequency.
-  const double rssl_at_design = sum_ac * sum_ac / (d.c_fly_f * d.f_sw_hz);
+  const double rssl_at_design = k.sum_ac * k.sum_ac / (d.c_fly_f * d.f_sw_hz);
   const double r_min = std::hypot(rssl_at_design, rfsl);
-  if (r_needed < r_min || vout_target_v >= vout_ideal) return out;  // Past the cliff.
+  if (r_needed < r_min || vout_target_v >= k.vout_ideal_v) return out;  // Past the cliff.
 
-  const double rssl_needed = std::sqrt(r_needed * r_needed - rfsl * rfsl);
-  const double f_used = sum_ac * sum_ac / (d.c_fly_f * rssl_needed);
+  const double f_used = sc_frequency_for(k, s, r_needed);
   IVORY_CHECK_FINITE(f_used, "analyze_sc_regulated");
   out.feasible = true;
   out.f_sw_used_hz = f_used;
-  out.analysis = analyze_at(d, vin_v, i_load_a, f_used);
+  out.analysis = analyze_at(k, s, vin_v, i_load_a, f_used);
   return out;
 }
 
 double sc_output_hf_cap(const ScDesign& d) {
-  // Fly-capacitance fraction facing the output, averaged over the two
-  // phases. Series-parallel n:1: the parallel phase presents all of C, the
-  // series phase a chain of n-1 slices in series (C/(n-1)^2); for 2:1 that
-  // makes the FULL fly cap effective at all times (one terminal is always on
-  // a stiff rail). Ladder topologies keep roughly the bottom-rung half.
-  // Validated against switch-level simulation in the Fig. 9(b) bench.
-  double kappa = 0.5;
-  const bool series_parallel =
-      !d.custom_topology &&
-      (d.family == ScFamily::SeriesParallel || (d.family == ScFamily::Auto && d.m == 1));
-  if (series_parallel) {
-    const double chain = static_cast<double>(d.n - 1);
-    kappa = 0.5 * (1.0 + 1.0 / (chain * chain));
-  }
-  return d.c_out_f + kappa * d.c_fly_f;
+  return d.c_out_f + hf_fly_fraction(d) * d.c_fly_f;
 }
 
 }  // namespace ivory::core

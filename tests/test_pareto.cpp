@@ -17,6 +17,7 @@
 #include "common/parallel.hpp"
 #include "core/pareto.hpp"
 #include "core/report_json.hpp"
+#include "pdn/pdn.hpp"
 
 namespace ivory {
 namespace {
@@ -246,6 +247,116 @@ TEST_F(ParetoTest, ExploreOverloadSortsTheFrontierLikeExplore) {
     else
       EXPECT_TRUE(designs[i - 1].feasible) << "infeasible sorted above feasible at " << i;
   }
+}
+
+// --- Screen fidelity ------------------------------------------------------
+
+// A frontier point's system metrics recomputed from its design record by
+// the public analyzer, with the funnel's per-IVR load and hybrid VRM share.
+ScreenMetrics analyzer_metrics(const SystemParams& sys, const core::ParetoPoint& pt) {
+  const core::DseResult& d = pt.design;
+  const double h = pt.ivr_load_frac;
+  const double i_ivr = h * sys.p_load_w / sys.vout_v / d.n_distributed;
+  double p_in = 0.0, ripple = 0.0, area = 0.0;
+  switch (d.topology) {
+    case core::IvrTopology::SwitchedCapacitor: {
+      const core::ScRegulated reg =
+          core::analyze_sc_regulated(d.sc, sys.vin_v, sys.vout_v, i_ivr);
+      EXPECT_TRUE(reg.feasible) << d.label;
+      EXPECT_EQ(reg.f_sw_used_hz, d.f_sw_hz) << d.label;
+      p_in = reg.analysis.p_in_w;
+      ripple = reg.analysis.ripple_pp_v;
+      area = reg.analysis.area_m2;
+      break;
+    }
+    case core::IvrTopology::Buck: {
+      const core::BuckAnalysis a = core::analyze_buck(d.buck, sys.vin_v, sys.vout_v, i_ivr);
+      p_in = a.p_in_w;
+      ripple = a.ripple_pp_v;
+      area = a.area_m2;
+      break;
+    }
+    case core::IvrTopology::LinearRegulator: {
+      const core::LdoAnalysis a = core::analyze_ldo(d.ldo, sys.vin_v, sys.vout_v, i_ivr);
+      p_in = a.p_in_w;
+      ripple = a.ripple_pp_v;
+      area = a.area_m2;
+      break;
+    }
+    case core::IvrTopology::DigitalLdo: {
+      const core::DldoAnalysis a = core::analyze_dldo(d.dldo, sys.vin_v, sys.vout_v, i_ivr);
+      p_in = a.p_in_w;
+      ripple = a.ripple_pp_v;
+      area = a.area_m2;
+      break;
+    }
+  }
+  double p_vrm_in = 0.0;
+  if (h < 1.0) {
+    const double p_vrm_out = (1.0 - h) * sys.p_load_w;
+    p_vrm_in = pdn::VrmModel::board_vrm(sys.vout_v,
+                                        pdn::kVrmRatingFactor * p_vrm_out / sys.vout_v)
+                   .input_power(p_vrm_out);
+  }
+  ScreenMetrics m;
+  m.efficiency = sys.p_load_w / (static_cast<double>(d.n_distributed) * p_in + p_vrm_in);
+  m.ripple_pp_v = ripple;
+  m.area_m2 = area * static_cast<double>(d.n_distributed);
+  return m;
+}
+
+// The screen is the analyzers' own evaluation, not an approximation of it:
+// every returned frontier point's screen metrics equal its design record's
+// and the public analyzer's answer for that design, bit for bit. Systems:
+// the default plus seeded draws over the benchmark's request ranges.
+TEST_F(ParetoTest, ScreenIsTheAnalyzer) {
+  std::vector<SystemParams> systems{SystemParams{}};
+  std::mt19937_64 rng(14);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto draw = [&](double lo, double hi) { return lo + (hi - lo) * unit(rng); };
+  const tech::Node nodes[] = {tech::Node::n45, tech::Node::n32, tech::Node::n22};
+  const tech::InductorKind inductors[] = {tech::InductorKind::SurfaceMount,
+                                          tech::InductorKind::IntegratedInterposer,
+                                          tech::InductorKind::MagneticFilm};
+  for (int i = 0; i < 12; ++i) {
+    SystemParams s;
+    s.vin_v = draw(2.5, 3.6);
+    s.vout_v = draw(0.8, 1.2);
+    s.p_load_w = draw(10.0, 40.0);
+    s.area_max_m2 = draw(10.0, 40.0) * 1e-6;
+    s.node = nodes[rng() % 3];
+    s.inductor = inductors[rng() % 3];
+    systems.push_back(s);
+  }
+  FunnelObjectives area_ripple;
+  area_ripple.efficiency = false;
+  FunnelSpec spec = FunnelSpec{}.scaled(0.15);
+  spec.front_cap = 4096;
+  spec.simulate = false;
+
+  std::set<core::IvrTopology> topologies;
+  for (std::size_t si = 0; si < systems.size(); ++si) {
+    const SystemParams& sys = systems[si];
+    for (const FunnelObjectives& obj : {FunnelObjectives{}, area_ripple}) {
+      spec.objectives = obj;
+      const ParetoFront front = core::funnel_explore(sys, spec);
+      ASSERT_FALSE(front.points.empty()) << "system " << si;
+      for (const core::ParetoPoint& pt : front.points) {
+        const std::string where = "system " + std::to_string(si) +
+                                  (obj.efficiency ? " {all}" : " {area, ripple}") + " #" +
+                                  std::to_string(pt.index) + " " + pt.design.label;
+        EXPECT_EQ(pt.screen.efficiency, pt.design.efficiency) << where;
+        EXPECT_EQ(pt.screen.area_m2, pt.design.area_m2) << where;
+        EXPECT_EQ(pt.screen.ripple_pp_v, pt.design.ripple_pp_v) << where;
+        const ScreenMetrics exact = analyzer_metrics(sys, pt);
+        EXPECT_EQ(pt.screen.efficiency, exact.efficiency) << where;
+        EXPECT_EQ(pt.screen.area_m2, exact.area_m2) << where;
+        EXPECT_EQ(pt.screen.ripple_pp_v, exact.ripple_pp_v) << where;
+        topologies.insert(pt.design.topology);
+      }
+    }
+  }
+  EXPECT_EQ(topologies.size(), 4u) << "the systems no longer put every topology on a front";
 }
 
 // --- Incremental re-exploration -------------------------------------------
