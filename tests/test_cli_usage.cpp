@@ -106,6 +106,16 @@ TEST(CliUsage, DicksonFamilyIsEvaluatedNotReplacedByAuto) {
   EXPECT_TRUE(run_cli("sc --n 3 --m 1 --family dickson", "2>/dev/null").output.empty());
 }
 
+TEST(CliUsage, DynamicLoadsEveryDomainAtAnyDistribution) {
+  // More domains than the 4 default SMs: each domain still gets its share
+  // of the load, so the simulated rail moves.
+  const RunResult r = run_cli("dynamic --max-dist 8 --dist 8 --duration 5u", "2>/dev/null");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  const std::size_t at = r.output.find("p-p ");
+  ASSERT_NE(at, std::string::npos) << r.output;
+  EXPECT_GT(std::strtod(r.output.c_str() + at + 4, nullptr), 0.0) << r.output;
+}
+
 TEST(CliUsage, BatchPropagatesResponsesToStdout) {
   const RunResult r = run_command(std::string("echo '{\"op\":\"stats\",\"id\":1}' | ") +
                                   IVORY_CLI_BIN + " batch 2>/dev/null");

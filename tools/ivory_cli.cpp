@@ -285,11 +285,15 @@ int cmd_dynamic(json::Value& body) {
   std::printf("design: %s x%d distributed, %d-way interleaved, f_sw %.1f MHz\n",
               ivr.label.c_str(), dist, ivr.n_interleave, ivr.f_sw_hz / 1e6);
 
-  const auto traces = workload::generate_gpu_traces(bench, 4, sys.p_load_w / 4.0, dur, dt);
+  // At least 4 SMs, the same number per domain: every domain carries
+  // 1/dist of the load at any --dist.
+  const int sm_per_dom = (4 + dist - 1) / dist;
+  const int n_sm = dist * sm_per_dom;
+  const auto traces =
+      workload::generate_gpu_traces(bench, n_sm, sys.p_load_w / n_sm, dur, dt);
   const workload::DigitalLoadModel load = workload::DigitalLoadModel::from_average_power(
-      sys.p_load_w / 4.0, sys.vout_v, 1e9, 0.2);
+      sys.p_load_w / n_sm, sys.vout_v, 1e9, 0.2);
   std::vector<double> i_dom(traces[0].watts.size(), 0.0);
-  const int sm_per_dom = 4 / dist;
   for (int s = 0; s < sm_per_dom; ++s) {
     const auto i = workload::power_to_current(traces[static_cast<std::size_t>(s)], load,
                                               sys.vout_v);
