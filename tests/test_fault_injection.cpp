@@ -19,6 +19,7 @@
 #include "common/parallel.hpp"
 #include "core/dynamic.hpp"
 #include "core/optimizer.hpp"
+#include "core/pareto.hpp"
 
 namespace ivory {
 namespace {
@@ -222,6 +223,32 @@ TEST_F(FaultInjectionTest, AllCandidatesNanRaisesNonFiniteDominant) {
   } catch (const SweepError& e) {
     EXPECT_EQ(e.dominant().code, ErrorCode::NonFinite);
   }
+}
+
+TEST_F(FaultInjectionTest, FunnelNanLoadQuarantinesEveryCandidate) {
+  const SystemParams sys;
+  core::FunnelSpec spec = core::FunnelSpec{}.scaled(0.15);
+  spec.simulate = false;
+  const std::uint64_t n_screened = core::funnel_explore(sys, spec).stats.n_screened;
+  ASSERT_GT(n_screened, 0u);
+
+  // The poisoned load reaches every candidate of every topology, and each
+  // must die on a finite guard: an unreachable buck duty is no excuse to
+  // call a NaN-loaded candidate merely infeasible.
+  fault::arm_probability("funnel_explore", fault::Action::EmitNan, 1.0, 7);
+  SweepReport report;
+  try {
+    core::funnel_explore(sys, spec, &report);
+    FAIL() << "expected SweepError";
+  } catch (const SweepError& e) {
+    EXPECT_EQ(e.dominant().code, ErrorCode::NonFinite);
+  }
+  EXPECT_EQ(report.skips.size(), n_screened);
+  EXPECT_EQ(report.n_survived, 0u);
+  std::size_t not_non_finite = 0;
+  for (const Diagnostics& d : report.skips)
+    if (d.code != ErrorCode::NonFinite) ++not_non_finite;
+  EXPECT_EQ(not_non_finite, 0u);
 }
 
 }  // namespace

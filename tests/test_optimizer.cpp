@@ -1,9 +1,12 @@
 // Tests for the design-space-exploration optimizer.
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
 #include <numeric>
+#include <random>
+#include <string>
+#include <vector>
 
+#include "common/error.hpp"
 #include "core/optimizer.hpp"
 
 namespace ivory::core {
@@ -145,6 +148,47 @@ TEST(Optimizer, InvalidSystemThrows) {
   EXPECT_THROW(optimize_topology(sys, IvrTopology::Buck, 9), InvalidParameter);
 }
 
+// optimize_buck runs analyze_buck's kernel on a part it prepares once per
+// sweep; the design it returns, fed back through the public analyzer,
+// reproduces its numbers bit for bit. Systems: the default plus seeded draws
+// over the benchmark's request ranges.
+TEST(OptimizerTest, BuckSweepIsTheAnalyzer) {
+  std::vector<SystemParams> systems{SystemParams{}};
+  std::mt19937_64 rng(15);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto draw = [&](double lo, double hi) { return lo + (hi - lo) * unit(rng); };
+  const tech::Node nodes[] = {tech::Node::n45, tech::Node::n32, tech::Node::n22};
+  const tech::InductorKind inductors[] = {tech::InductorKind::SurfaceMount,
+                                          tech::InductorKind::IntegratedInterposer,
+                                          tech::InductorKind::MagneticFilm};
+  for (int i = 0; i < 8; ++i) {
+    SystemParams s;
+    s.vin_v = draw(2.5, 3.6);
+    s.vout_v = draw(0.8, 1.2);
+    s.p_load_w = draw(10.0, 40.0);
+    s.area_max_m2 = draw(10.0, 40.0) * 1e-6;
+    s.node = nodes[rng() % 3];
+    s.inductor = inductors[rng() % 3];
+    systems.push_back(s);
+  }
+  int n_feasible = 0;
+  for (std::size_t si = 0; si < systems.size(); ++si) {
+    const SystemParams& sys = systems[si];
+    for (const int n : {1, 2, 4}) {
+      const DseResult r = optimize_topology(sys, IvrTopology::Buck, n);
+      if (!r.feasible) continue;
+      ++n_feasible;
+      const std::string where = "system " + std::to_string(si) + " @ dist " + std::to_string(n);
+      const double i_ivr = sys.p_load_w / sys.vout_v / n;
+      const BuckAnalysis a = analyze_buck(r.buck, sys.vin_v, sys.vout_v, i_ivr);
+      EXPECT_EQ(r.f_sw_hz, r.buck.f_sw_hz) << where;
+      EXPECT_EQ(r.efficiency, a.efficiency) << where;
+      EXPECT_EQ(r.ripple_pp_v, a.ripple_pp_v) << where;
+      EXPECT_EQ(r.area_m2 / n, a.area_m2) << where;
+    }
+  }
+  EXPECT_GE(n_feasible, 12) << "too few feasible buck sweeps to compare";
+}
 
 TEST(TwoStage, CascadeFeasibleButBelowSingleStageHere) {
   // For the 3.3:1 GPU case a single tight-ratio SC wins; the hierarchical
