@@ -61,6 +61,15 @@ struct Batch {
     done_cv.notify_all();
   }
 
+  // A worker's last touch of the batch. The decrement and the notify are one
+  // critical section: the submitter's wait() can only see `active` reach 0
+  // under done_mutex, so it cannot return and destroy the batch until this
+  // worker has unlocked it.
+  void release() {
+    std::lock_guard<std::mutex> lock(done_mutex);
+    if (active.fetch_sub(1, std::memory_order_acq_rel) == 1) done_cv.notify_all();
+  }
+
   // Processes chunks until the index space is drained.
   void work() {
     const bool was = t_in_region;
@@ -153,7 +162,7 @@ class ThreadPool {
                              std::chrono::steady_clock::now() - batch->published)
                              .count());
       batch->work();
-      if (batch->active.fetch_sub(1, std::memory_order_acq_rel) == 1) batch->notify();
+      batch->release();
     }
   }
 

@@ -51,42 +51,71 @@ struct PeripheralTech {
 
 PeripheralTech peripheral_tech(tech::Node node);
 
-/// Peripheral power/area for a converter clocked at `f_sw_hz` with
-/// `n_phases` interleaved phases, driving `c_gate_total_f` of final-stage
-/// gate capacitance at `v_drive_v`, `f_drive_hz` times a second (the
-/// switching rate, which pulse skipping can hold below the clock).
+/// The frequency-free half of the peripheral budget: each power term's
+/// energy per event of its rate (every product's leading factors, in the
+/// order the budget multiplies them), and the area.
+struct PeripheralRates {
+  double n_phases = 1.0;
+  double controller_j = 0.0;  ///< Per controller event (f_sw * n_phases).
+  double clockgen_j = 0.0;    ///< Per clock period (f_sw).
+  double comparator_j = 0.0;  ///< Per controller event.
+  double driver_j = 0.0;      ///< Per drive event (f_drive).
+  double area_m2 = 0.0;
+};
+
+/// The rates of a converter with `n_phases` interleaved phases, driving
+/// `c_gate_total_f` of final-stage gate capacitance at `v_drive_v`.
 ///
 /// The digital blocks are modeled as gate populations (controller ~1.5k
 /// gates, clock generator ~200 gates per phase, comparator ~50 gate-
 /// equivalents per sample) with per-node unit gate capacitance; the driver
 /// chain adds the classic tapered-buffer factor (~1/(F-1) of the final-stage
 /// energy per stage, lumped as 30%).
-inline PeripheralBudget peripheral_budget(const PeripheralTech& t, double f_sw_hz,
-                                          int n_phases, double c_gate_total_f,
-                                          double v_drive_v, double f_drive_hz) {
-  require(f_sw_hz > 0.0, "peripheral_budget: f_sw must be positive");
+inline PeripheralRates peripheral_rates(const PeripheralTech& t, int n_phases,
+                                        double c_gate_total_f, double v_drive_v) {
   require(n_phases >= 1, "peripheral_budget: need at least one phase");
   require(c_gate_total_f >= 0.0, "peripheral_budget: gate cap must be non-negative");
   require(v_drive_v > 0.0, "peripheral_budget: drive voltage must be positive");
 
   const double vdd = t.vdd_v;
   const double cg = t.unit_cg_f;
-  // The controller and comparator run once per switching event of any phase.
-  const double f_ctrl = f_sw_hz * static_cast<double>(n_phases);
+  PeripheralRates r;
+  r.n_phases = static_cast<double>(n_phases);
+  r.controller_j = kControllerGates * kActivity * cg * vdd * vdd;
+  r.clockgen_j = kClockGatesPerPhase * r.n_phases * kActivity * cg * vdd * vdd;
+  r.comparator_j = kComparatorGateEquiv * cg * vdd * vdd;
+  r.driver_j = kDriverOverhead * c_gate_total_f * v_drive_v * v_drive_v;
 
-  PeripheralBudget b;
-  b.p_controller_w = kControllerGates * kActivity * cg * vdd * vdd * f_ctrl;
-  b.p_clockgen_w =
-      kClockGatesPerPhase * static_cast<double>(n_phases) * kActivity * cg * vdd * vdd * f_sw_hz;
-  b.p_comparator_w = kComparatorGateEquiv * cg * vdd * vdd * f_ctrl;
-  b.p_driver_w = kDriverOverhead * c_gate_total_f * v_drive_v * v_drive_v * f_drive_hz;
-
-  const double gate_count = kControllerGates +
-                            kClockGatesPerPhase * static_cast<double>(n_phases) +
-                            kComparatorGateEquiv * static_cast<double>(n_phases);
+  const double gate_count =
+      kControllerGates + kClockGatesPerPhase * r.n_phases + kComparatorGateEquiv * r.n_phases;
   // Each gate: 4 unit devices plus routing (x2).
-  b.area_m2 = gate_count * 4.0 * t.unit_area_m2 * 2.0;
+  r.area_m2 = gate_count * 4.0 * t.unit_area_m2 * 2.0;
+  return r;
+}
+
+/// The budget at clock `f_sw_hz`, driving `f_drive_hz` times a second (the
+/// switching rate, which pulse skipping can hold below the clock).
+inline PeripheralBudget peripheral_at(const PeripheralRates& r, double f_sw_hz,
+                                      double f_drive_hz) {
+  // The controller and comparator run once per switching event of any phase.
+  const double f_ctrl = f_sw_hz * r.n_phases;
+  PeripheralBudget b;
+  b.p_controller_w = r.controller_j * f_ctrl;
+  b.p_clockgen_w = r.clockgen_j * f_sw_hz;
+  b.p_comparator_w = r.comparator_j * f_ctrl;
+  b.p_driver_w = r.driver_j * f_drive_hz;
+  b.area_m2 = r.area_m2;
   return b;
+}
+
+/// Peripheral power/area for a converter clocked at `f_sw_hz`: the rates
+/// of peripheral_rates at peripheral_at's frequencies.
+inline PeripheralBudget peripheral_budget(const PeripheralTech& t, double f_sw_hz,
+                                          int n_phases, double c_gate_total_f,
+                                          double v_drive_v, double f_drive_hz) {
+  require(f_sw_hz > 0.0, "peripheral_budget: f_sw must be positive");
+  return peripheral_at(peripheral_rates(t, n_phases, c_gate_total_f, v_drive_v), f_sw_hz,
+                       f_drive_hz);
 }
 
 /// The same budget in technology `node`, driving at the clock rate.

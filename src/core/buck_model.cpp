@@ -34,18 +34,11 @@ BuckAnalysis analyze_buck(const BuckDesign& d, double vin_v, double vout_v, doub
   require(d.c_out_f > 0.0, "BuckDesign: output capacitance must be positive");
 
   const BuckPrepared k = prepare_buck(d, vin_v);
-  BuckAnalysis a;
-  a.vin_v = vin_v;
-  a.vout_v = vout_v;
-  a.i_load_a = i_load_a;
+  const BuckRow row = buck_row(k, d, vout_v, i_load_a);
+  require(row.reachable, "analyze_buck: duty out of range — vout unreachable");
   const double l_eff = d.ignore_l_rolloff ? d.l_per_phase_h
                                           : k.ind->inductance_at(d.l_per_phase_h, d.f_sw_hz);
-  // Thrown here rather than through require(): sweeps reject unreachable
-  // sizings this way by the ten thousand, and each extra frame makes the
-  // unwind dearer.
-  if (!buck_operating_point(k, d, l_eff, vout_v, i_load_a, a))
-    throw InvalidParameter("analyze_buck: duty out of range — vout unreachable");
-  buck_evaluate(k, d, vout_v, i_load_a, a);
+  const BuckAnalysis a = buck_at(k, row, d.f_sw_hz, l_eff);
   IVORY_CHECK_FINITE(a.efficiency, "analyze_buck");
   IVORY_CHECK_FINITE(a.ripple_pp_v, "analyze_buck");
   IVORY_CHECK_FINITE(a.area_m2, "analyze_buck");

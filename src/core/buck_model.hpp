@@ -89,78 +89,121 @@ struct BuckPrepared {
 /// sizing fields of `d` are not read).
 BuckPrepared prepare_buck(const BuckDesign& d, double vin_v);
 
-/// First half of the per-candidate evaluation: the CCM duty cycle from
-/// volt-second balance with conduction drops, and the per-phase and
-/// interleaved inductor ripple, with `l_eff_h` the inductance at d.f_sw_hz.
-/// Returns false, leaving the ripple unset, when the duty leaves (0, 1):
-/// vout is unreachable (analyze_buck reports that as InvalidParameter).
-inline bool buck_operating_point(const BuckPrepared& k, const BuckDesign& d, double l_eff_h,
-                                 double vout_v, double i_load_a, BuckAnalysis& a) {
-  const double vin_v = k.vin_v;
-  const double i_ph = i_load_a / static_cast<double>(d.n_phases);
-  const double r_hs = k.dev.ron(d.w_high_m);
-  const double r_ls = k.dev.ron(d.w_low_m);
-  const double r_dcr = k.ind->dcr(d.l_per_phase_h);
-  a.l_eff_h = l_eff_h;
+/// The half of a buck evaluation that does not depend on the switching
+/// frequency, computed once per sizing (a row of the f_sw axis): the phase
+/// current, the CCM duty and its reachability, the interleave cancellation,
+/// the capacitance sums, each f-proportional loss's leading factors, the
+/// ESR and the areas. Only `reachable` is meaningful when it is false.
+struct BuckRow {
+  bool reachable = false;  ///< The duty lies in (0, 1): vout is reachable.
+  double vout_v = 0.0, i_load_a = 0.0;
+  double n = 1.0;             ///< Phases.
+  double i_phase_a = 0.0;     ///< DC current per phase.
+  double duty = 0.0;
+  double v_ripple_v = 0.0;    ///< (vin - vout) * duty = ripple per phase x L x f_sw.
+  double cancellation = 1.0;  ///< interleave_cancellation(n_phases, duty).
+  double i_phase_sq = 0.0;    ///< DC term of the squared RMS phase current.
+  double r_eff_ohm = 0.0;     ///< Duty-weighted switch resistance plus DCR.
+  double cg_phase_f = 0.0;    ///< Gate capacitance per phase.
+  double cd_phase_f = 0.0;    ///< Drain (junction) capacitance per phase.
+  double overlap_j = 0.0;     ///< V-I overlap energy per cycle, all phases.
+  double n_edges = 0.0;       ///< Dead-time edges per cycle, all phases.
+  double t_dead_s = 0.0;
+  PeripheralRates per;
+  double c_out_f = 0.0, esr_ohm = 0.0;
+  double p_out_w = 0.0;
+  double area_die_m2 = 0.0, area_offdie_m2 = 0.0, area_m2 = 0.0;
+};
 
-  // CCM volt-second balance with conduction drops, two fixed-point passes.
-  double duty = vout_v / vin_v;
-  for (int pass = 0; pass < 2; ++pass) {
-    const double drop_on = i_ph * (r_hs + r_dcr);
-    const double drop_off = i_ph * (r_ls + r_dcr);
-    duty = (vout_v + drop_off) / std::max(vin_v - drop_on + drop_off, 1e-9);
-  }
-  a.duty = duty;
-  if (!(duty > 0.0 && duty < 1.0)) return false;
-
-  a.i_ripple_phase_a = (vin_v - vout_v) * duty / (a.l_eff_h * d.f_sw_hz);
-  a.i_ripple_out_a = a.i_ripple_phase_a * interleave_cancellation(d.n_phases, duty);
-  return true;
-}
-
-/// Second half: the losses, input power, efficiency, output ripple and
-/// area at the operating point buck_operating_point left in `a`. Never
-/// allocates, locks or throws for a valid sizing.
-inline void buck_evaluate(const BuckPrepared& k, const BuckDesign& d, double vout_v,
-                          double i_load_a, BuckAnalysis& a) {
+/// The row of sizing `d` (its f_sw_hz is not read) delivering `i_load_a`
+/// at `vout_v`. An unreachable duty (analyze_buck's InvalidParameter) is a
+/// row with `reachable` false, not an exception.
+inline BuckRow buck_row(const BuckPrepared& k, const BuckDesign& d, double vout_v,
+                        double i_load_a) {
   const tech::SwitchTech& dev = k.dev;
   const double vin_v = k.vin_v;
-  const double duty = a.duty;
-  const double n = static_cast<double>(d.n_phases);
-  const double i_ph = i_load_a / n;
+  BuckRow row;
+  row.vout_v = vout_v;
+  row.i_load_a = i_load_a;
+  row.n = static_cast<double>(d.n_phases);
+  const double i_ph = i_load_a / row.n;
+  row.i_phase_a = i_ph;
   const double r_hs = dev.ron(d.w_high_m);
   const double r_ls = dev.ron(d.w_low_m);
   const double r_dcr = k.ind->dcr(d.l_per_phase_h);
 
-  a.p_out_w = vout_v * i_load_a;
+  // CCM volt-second balance with conduction drops. The drops are the phase
+  // current's, whatever the duty, so the balance needs no iteration.
+  const double drop_on = i_ph * (r_hs + r_dcr);
+  const double drop_off = i_ph * (r_ls + r_dcr);
+  const double duty = (vout_v + drop_off) / std::max(vin_v - drop_on + drop_off, 1e-9);
+  row.duty = duty;
+  if (!(duty > 0.0 && duty < 1.0)) return row;
+  row.reachable = true;
+  row.v_ripple_v = (vin_v - vout_v) * duty;
+  row.cancellation = interleave_cancellation(d.n_phases, duty);
 
+  row.p_out_w = vout_v * i_load_a;
   // Conduction: RMS current includes the triangular ripple term.
-  const double i_sq = i_ph * i_ph + a.i_ripple_phase_a * a.i_ripple_phase_a / 12.0;
-  const double r_eff = duty * r_hs + (1.0 - duty) * r_ls + r_dcr;
-  a.p_conduction_w = n * i_sq * r_eff;
-
-  // Gate drive swings at most the available input rail (drivers are supplied
-  // from vin), capped by the device's nominal gate rating.
-  const double v_drive = k.v_drive_v;
-  const double cg_phase = dev.cgate(d.w_high_m) + dev.cgate(d.w_low_m);
-  a.p_gate_w = n * d.f_sw_hz * cg_phase * v_drive * v_drive;
-
+  row.i_phase_sq = i_ph * i_ph;
+  row.r_eff_ohm = duty * r_hs + (1.0 - duty) * r_ls + r_dcr;
+  row.cg_phase_f = dev.cgate(d.w_high_m) + dev.cgate(d.w_low_m);
   // Transition (V-I overlap), two transitions per cycle.
-  const double t_tr = k.t_tr_s;
-  a.p_overlap_w = n * vin_v * i_ph * t_tr * d.f_sw_hz;
-
+  row.overlap_j = row.n * vin_v * i_ph * k.t_tr_s;
   // Junction capacitance of the switching node charged to vin each cycle.
-  const double cd_phase = dev.cdrain(d.w_high_m) + dev.cdrain(d.w_low_m);
-  a.p_coss_w = n * d.f_sw_hz * cd_phase * vin_v * vin_v;
-
+  row.cd_phase_f = dev.cdrain(d.w_high_m) + dev.cdrain(d.w_low_m);
   // Body-diode conduction during dead time (both edges).
-  const double t_dead = 2.0 * t_tr;
-  const double v_diode = 0.65;
-  a.p_deadtime_w = n * 2.0 * d.f_sw_hz * t_dead * i_ph * v_diode;
+  row.n_edges = row.n * 2.0;
+  row.t_dead_s = 2.0 * k.t_tr_s;
+  row.per = peripheral_rates(k.per, d.n_phases, row.n * row.cg_phase_f, k.v_drive_v);
 
-  const PeripheralBudget per =
-      peripheral_budget(k.per, d.f_sw_hz, d.n_phases, n * cg_phase, v_drive, d.f_sw_hz);
-  a.p_peripheral_w = per.total_power();
+  row.c_out_f = d.c_out_f;
+  row.esr_ohm = k.cap.esr(d.c_out_f);
+  // Area: switches and decap on die; inductors wherever the technology puts
+  // them.
+  const double area_sw = row.n * (dev.area(d.w_high_m) + dev.area(d.w_low_m));
+  const double area_cap = k.cap.area(d.c_out_f);
+  const double area_ind = row.n * k.ind->area(d.l_per_phase_h);
+  row.area_die_m2 = kWiringOverhead * (area_sw + area_cap + row.per.area_m2 +
+                                       (k.ind->on_die ? area_ind : 0.0));
+  row.area_offdie_m2 = k.ind->on_die ? 0.0 : area_ind;
+  row.area_m2 = row.area_die_m2 + row.area_offdie_m2;
+  return row;
+}
+
+/// Peak-to-peak inductor ripple per phase of a reachable row switching at
+/// `f_sw_hz` with inductance `l_eff_h`: buck_at's i_ripple_phase_a, for a
+/// CCM check before any loss term.
+inline double buck_ripple_phase(const BuckRow& row, double f_sw_hz, double l_eff_h) {
+  return row.v_ripple_v / (l_eff_h * f_sw_hz);
+}
+
+/// The other half: the ripple, the f-proportional losses, input power,
+/// efficiency and output ripple of a reachable row switching at
+/// `f_sw_hz` > 0 with inductance `l_eff_h` (the row's per-phase inductance
+/// at that frequency). Never allocates, locks or throws.
+inline BuckAnalysis buck_at(const BuckPrepared& k, const BuckRow& row, double f_sw_hz,
+                            double l_eff_h) {
+  BuckAnalysis a;
+  a.vin_v = k.vin_v;
+  a.vout_v = row.vout_v;
+  a.i_load_a = row.i_load_a;
+  a.duty = row.duty;
+  a.l_eff_h = l_eff_h;
+  a.i_ripple_phase_a = buck_ripple_phase(row, f_sw_hz, l_eff_h);
+  a.i_ripple_out_a = a.i_ripple_phase_a * row.cancellation;
+
+  a.p_out_w = row.p_out_w;
+  const double i_sq = row.i_phase_sq + a.i_ripple_phase_a * a.i_ripple_phase_a / 12.0;
+  a.p_conduction_w = row.n * i_sq * row.r_eff_ohm;
+  const double nf = row.n * f_sw_hz;
+  const double v_drive = k.v_drive_v;
+  a.p_gate_w = nf * row.cg_phase_f * v_drive * v_drive;
+  a.p_overlap_w = row.overlap_j * f_sw_hz;
+  a.p_coss_w = nf * row.cd_phase_f * k.vin_v * k.vin_v;
+  const double v_diode = 0.65;
+  a.p_deadtime_w = row.n_edges * f_sw_hz * row.t_dead_s * row.i_phase_a * v_diode;
+  a.p_peripheral_w = peripheral_at(row.per, f_sw_hz, f_sw_hz).total_power();
 
   a.p_in_w = a.p_out_w + a.p_conduction_w + a.p_gate_w + a.p_overlap_w + a.p_coss_w +
              a.p_deadtime_w + a.p_peripheral_w;
@@ -168,19 +211,11 @@ inline void buck_evaluate(const BuckPrepared& k, const BuckDesign& d, double vou
 
   // Output ripple: capacitive charging of C_out by the residual current
   // ripple at the N-phase effective frequency, plus the ESR step.
-  const double f_eff = n * d.f_sw_hz;
-  a.ripple_pp_v = a.i_ripple_out_a / (8.0 * f_eff * d.c_out_f) +
-                  a.i_ripple_out_a * k.cap.esr(d.c_out_f);
-
-  // Area: switches and decap on die; inductors wherever the technology puts
-  // them.
-  const double area_sw = n * (dev.area(d.w_high_m) + dev.area(d.w_low_m));
-  const double area_cap = k.cap.area(d.c_out_f);
-  const double area_ind = n * k.ind->area(d.l_per_phase_h);
-  a.area_die_m2 =
-      kWiringOverhead * (area_sw + area_cap + per.area_m2 + (k.ind->on_die ? area_ind : 0.0));
-  a.area_offdie_m2 = k.ind->on_die ? 0.0 : area_ind;
-  a.area_m2 = a.area_die_m2 + a.area_offdie_m2;
+  a.ripple_pp_v = a.i_ripple_out_a / (8.0 * nf * row.c_out_f) + a.i_ripple_out_a * row.esr_ohm;
+  a.area_die_m2 = row.area_die_m2;
+  a.area_offdie_m2 = row.area_offdie_m2;
+  a.area_m2 = row.area_m2;
+  return a;
 }
 
 /// Evaluates the buck at (vin -> vout, i_load). The converter is regulated:

@@ -222,7 +222,7 @@ DseResult optimize_buck(const SystemParams& sys, int n_dist, SweepReport& report
   base.node = sys.node;
   base.inductor = sys.inductor;
   base.cap_kind = sys.cap_kind;
-  // The design-independent part once per sweep; every evaluation runs
+  // The design-independent part once per sweep; every grid point runs
   // analyze_buck's kernel on it.
   const BuckPrepared k = prepare_buck(base, sys.vin_v);
 
@@ -233,51 +233,12 @@ DseResult optimize_buck(const SystemParams& sys, int n_dist, SweepReport& report
   const double duty0 = sys.vout_v / sys.vin_v;
   // Conduction-optimal high/low split at the nominal duty.
   const double sd = std::sqrt(duty0), si = std::sqrt(1.0 - duty0);
-  // The area budget is a ceiling, not a quota: oversized switches burn gate
-  // charge, so the switch-area utilization is itself a design variable.
-  // Sizes one point into `d`, runs analyze_buck's kernel on it into `a`
-  // followed by the analyzer's exit guards, and returns whether the point is
-  // a feasible design. A non-finite result throws to the per-candidate
-  // quarantine below; a degenerate sizing, an unreachable duty or a point
-  // out of CCM is a domain rejection, so it stays in the sweep as
-  // infeasible.
-  auto evaluate = [&](int n_phases, double l_frac, double sw_util, double f_sw, BuckDesign& d,
-                      BuckAnalysis& a) -> bool {
-    const double usable = area_ivr / kWiringOverhead;
-    const double area_l = l_frac * usable;
-    const double rest = (1.0 - l_frac) * usable;
-    const double area_sw = 0.4 * rest * sw_util;
-    const double area_c = 0.55 * rest;  // 5% peripheral.
-
-    const double l_total = area_l * k.ind->density_h_m2;
-    const double l_phase = l_total / n_phases;
-    const double c_out = area_c * k.cap.density_f_m2;
-    const double w_total = area_sw / k.dev.area_per_w_m;
-    const double w_hs = w_total / n_phases * sd / (sd + si);
-    const double w_ls = w_total / n_phases * si / (sd + si);
-    if (l_phase <= 0.0 || c_out <= 0.0 || w_hs <= 0.0) return false;
-
-    d = base;
-    d.l_per_phase_h = l_phase;
-    d.f_sw_hz = f_sw;
-    d.n_phases = n_phases;
-    d.w_high_m = w_hs;
-    d.w_low_m = w_ls;
-    d.c_out_f = c_out;
-    if (!buck_operating_point(k, d, k.ind->inductance_at(l_phase, f_sw), sys.vout_v, i_ivr, a))
-      return false;
-    buck_evaluate(k, d, sys.vout_v, i_ivr, a);
-    IVORY_CHECK_FINITE(a.efficiency, "optimize_buck");
-    IVORY_CHECK_FINITE(a.ripple_pp_v, "optimize_buck");
-    IVORY_CHECK_FINITE(a.area_m2, "optimize_buck");
-    // Require CCM: ripple current below twice the per-phase DC current.
-    if (a.i_ripple_phase_a > 2.0 * i_ivr / n_phases) return false;
-    return a.ripple_pp_v <= sys.ripple_max_v && a.area_die_m2 <= area_ivr * 1.02;
-  };
 
   // Flatten the phase x inductor-fraction x switch-utilization grid in the
   // serial nesting order; each point's frequency sweep is an independent
-  // task for the pool.
+  // task for the pool. The area budget is a ceiling, not a quota: oversized
+  // switches burn gate charge, so the switch-area utilization is itself a
+  // design variable.
   std::vector<std::tuple<int, double, double>> grid;
   for (int n_phases : {2, 4, 8, 16})
     for (double l_frac : {0.02, 0.03, 0.05, 0.10, 0.18, 0.25, 0.40, 0.55, 0.70})
@@ -298,17 +259,48 @@ DseResult optimize_buck(const SystemParams& sys, int n_dist, SweepReport& report
           IVORY_CHECK_FINITE(sys.vout_v, "optimize_buck");
           IVORY_CHECK_FINITE(i_ivr, "optimize_buck");
           require(i_ivr > 0.0, "optimize_buck: load current must be positive");
-          BuckDesign d;
-          BuckAnalysis a;
-          const ScalarOptimum opt = log_grid_minimize(
-              [&](double f) {
-                return evaluate(n_phases, l_frac, sw_util, f, d, a) ? 1.0 - a.efficiency : 2.0;
-              },
-              2e6, 1e9, 48);
           DseResult r;
           r.topology = IvrTopology::Buck;
           r.n_distributed = n_dist;
-          if (!evaluate(n_phases, l_frac, sw_util, opt.x, d, a)) return r;
+
+          // The grid point's sizing and its f_sw-free row, once for the
+          // whole frequency sweep. A degenerate sizing or an unreachable
+          // duty is infeasible at every frequency.
+          const double usable = area_ivr / kWiringOverhead;
+          const double area_l = l_frac * usable;
+          const double rest = (1.0 - l_frac) * usable;
+          const double area_sw = 0.4 * rest * sw_util;
+          const double area_c = 0.55 * rest;  // 5% peripheral.
+          BuckDesign d = base;
+          d.n_phases = n_phases;
+          d.l_per_phase_h = area_l * k.ind->density_h_m2 / n_phases;
+          d.c_out_f = area_c * k.cap.density_f_m2;
+          const double w_total = area_sw / k.dev.area_per_w_m;
+          d.w_high_m = w_total / n_phases * sd / (sd + si);
+          d.w_low_m = w_total / n_phases * si / (sd + si);
+          if (d.l_per_phase_h <= 0.0 || d.c_out_f <= 0.0 || d.w_high_m <= 0.0) return r;
+          const BuckRow row = buck_row(k, d, sys.vout_v, i_ivr);
+          if (!row.reachable) return r;
+          // Require CCM: ripple current below twice the per-phase DC current.
+          const double i_ripple_max = 2.0 * i_ivr / n_phases;
+
+          // Runs the kernel at `f_sw` into `a`, followed by the analyzer's
+          // exit guards, and returns whether the point is a feasible design.
+          // A non-finite result throws to the quarantine; a point out of CCM
+          // stays in the sweep as infeasible.
+          BuckAnalysis a;
+          const auto evaluate = [&](double f_sw) -> bool {
+            a = buck_at(k, row, f_sw, k.ind->inductance_at(d.l_per_phase_h, f_sw));
+            IVORY_CHECK_FINITE(a.efficiency, "optimize_buck");
+            IVORY_CHECK_FINITE(a.ripple_pp_v, "optimize_buck");
+            IVORY_CHECK_FINITE(a.area_m2, "optimize_buck");
+            if (a.i_ripple_phase_a > i_ripple_max) return false;
+            return a.ripple_pp_v <= sys.ripple_max_v && a.area_die_m2 <= area_ivr * 1.02;
+          };
+          const ScalarOptimum opt = log_grid_minimize(
+              [&](double f) { return evaluate(f) ? 1.0 - a.efficiency : 2.0; }, 2e6, 1e9, 48);
+          if (!evaluate(opt.x)) return r;
+          d.f_sw_hz = opt.x;
           r.feasible = true;
           r.efficiency = a.efficiency;
           r.ripple_pp_v = a.ripple_pp_v;

@@ -459,12 +459,13 @@ void fill_metrics(const FunnelCtx& c, const Plan& p, double p_in_ivr, double rip
     throw NonFiniteError("funnel_screen: non-finite screen metric");
 }
 
-// One evaluation per topology, shared by the screen and the frontier's
-// design record: sizes candidate `local` of plan `p`, runs it through the
-// topology's analyzer (the SC and buck kernels on the plan's prepared part;
-// the LDO/DLDO analyzers whole), fills `m` once the candidate is viable and
-// returns whether it meets the ripple and area constraints. With `r`, the
-// design is recorded there too.
+// The screen walks each plan's candidates row by row: a row is a run of
+// consecutive candidates sharing every axis but the innermost one, so its
+// sizing and everything else the inner axis does not touch is computed once
+// (`*_row`), and each candidate of the row is one `*_point` on it. Both are
+// shared by the screen and the frontier's design record: a point fills `m`
+// once the candidate is viable and returns whether it meets the ripple and
+// area constraints; with `r`, the design is recorded there too.
 
 // SC: capacitor area share x output-decap share x interleave. The design
 // frequency holds regulation at the peak load, and analyze_sc_regulated's
@@ -478,10 +479,10 @@ struct ScRow {
   bool viable = false;  ///< false: FSL floor or f_sw range fails for every point
 };
 
-ScRow sc_row(const FunnelCtx& c, const Plan& p, std::uint64_t rest) {
+ScRow sc_row(const FunnelCtx& c, const Plan& p, std::uint64_t row_index) {
   const ScVariant& v = c.sc_variants[static_cast<std::size_t>(p.variant)];
-  const double y = c.sc_out_frac[rest % c.sc_out_frac.size()];
-  const double x = c.sc_split[rest / c.sc_out_frac.size()];
+  const double y = c.sc_out_frac[row_index % c.sc_out_frac.size()];
+  const double x = c.sc_split[row_index / c.sc_out_frac.size()];
   ScRow row;
   ScSizing& s = row.s;
   const double c_total = x * p.usable * c.cap->density_f_m2;
@@ -503,91 +504,86 @@ ScRow sc_row(const FunnelCtx& c, const Plan& p, std::uint64_t rest) {
   return row;
 }
 
-// Block-local memo of the last SC row, keyed by the global index of the
-// row's first candidate. Only a row that returned is stored: one that
-// throws is recomputed, so each of its candidates is its own skip.
-struct ScRowMemo {
-  std::uint64_t first = ~std::uint64_t{0};
-  ScRow row;
-};
-
-bool eval_sc(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m,
-             DseResult* r, ScRowMemo& memo) {
+// Interleave 2^il of an SC row.
+bool sc_point(const FunnelCtx& c, const Plan& p, const ScRow& row, std::uint64_t il,
+              ScreenMetrics& m, DseResult* r) {
   const ScVariant& v = c.sc_variants[static_cast<std::size_t>(p.variant)];
   if (r) {
     r->topology = IvrTopology::SwitchedCapacitor;
     r->label = std::to_string(v.design.n) + ":" + std::to_string(v.design.m) + " SC";
   }
-  const std::uint64_t rest = local / kIlSteps;
-  const std::uint64_t first = p.base + rest * kIlSteps;
-  if (memo.first != first) {
-    memo.row = sc_row(c, p, rest);
-    memo.first = first;
-  }
-  if (!memo.row.viable) return false;
-
-  ScSizing s = memo.row.s;
-  s.n_interleave = 1 << static_cast<int>(local % kIlSteps);
+  if (!row.viable) return false;
+  ScSizing s = row.s;
+  s.n_interleave = 1 << static_cast<int>(il);
   ScAnalysis a;
-  sc_evaluate(v.k, s, memo.row.f_used, p.i_ivr, a);
+  sc_evaluate(v.k, s, row.f_used, p.i_ivr, a);
   fill_metrics(c, p, a.p_in_w, a.ripple_pp_v, a.area_m2, m);
   if (r) {
     r->sc = v.design;
     r->sc.set_sizing(s);
-    r->f_sw_hz = memo.row.f_used;
+    r->f_sw_hz = row.f_used;
     r->n_interleave = s.n_interleave;
   }
   return a.ripple_pp_v <= c.sys.ripple_max_v * 1.05 && a.area_m2 <= p.area_ivr * 1.02;
 }
 
-// Buck: inductor area share x switch utilization x log-spaced f_sw.
-bool eval_buck(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m,
-               DseResult* r) {
+// Buck: inductor area share x switch utilization x log-spaced f_sw. A row
+// (plan, l_frac, util) is one sizing, so the buck kernel's f_sw-free half
+// runs once for its buck_fsw.size() frequencies.
+struct BuckScreenRow {
+  BuckDesign d;  ///< the row's sizing; f_sw_hz is the point's
+  BuckRow k;     ///< the kernel's f_sw-free half; unreachable for a degenerate sizing
+};
+
+BuckScreenRow buck_screen_row(const FunnelCtx& c, const Plan& p, std::uint64_t row_index) {
   const int n_phases = c.buck_phases[static_cast<std::size_t>(p.variant)];
   const double nn = static_cast<double>(n_phases);
-  const std::uint64_t f_idx = local % c.buck_fsw.size();
-  const std::uint64_t rest = local / c.buck_fsw.size();
-  const double util = c.buck_util[rest % c.buck_util.size()];
-  const double l_frac = c.buck_l_frac[rest / c.buck_util.size()];
-  if (r) {
-    r->topology = IvrTopology::Buck;
-    r->label = "buck";
-  }
-
-  BuckDesign d;
+  const double util = c.buck_util[row_index % c.buck_util.size()];
+  const double l_frac = c.buck_l_frac[row_index / c.buck_util.size()];
+  BuckScreenRow row;
+  BuckDesign& d = row.d;
   d.node = c.sys.node;
   d.inductor = c.sys.inductor;
   d.cap_kind = c.sys.cap_kind;
   d.n_phases = n_phases;
-  d.f_sw_hz = c.buck_fsw[f_idx];
   const double rest_a = (1.0 - l_frac) * p.usable;
   d.l_per_phase_h = l_frac * p.usable * c.ind->density_h_m2 / nn;
   d.c_out_f = 0.55 * rest_a * c.cap->density_f_m2;  // 5% peripheral, as optimize_buck.
   const double w_total = 0.4 * rest_a * util / c.pass_dev->area_per_w_m;
   d.w_high_m = w_total / nn * c.buck_sd / (c.buck_sd + c.buck_si);
   d.w_low_m = w_total / nn * c.buck_si / (c.buck_sd + c.buck_si);
-  if (!(d.l_per_phase_h > 0.0 && d.c_out_f > 0.0 && d.w_high_m > 0.0)) return false;
+  if (!(d.l_per_phase_h > 0.0 && d.c_out_f > 0.0 && d.w_high_m > 0.0)) return row;
   // analyze_buck's guard: a poisoned load is a fault, not an unreachable duty.
   IVORY_CHECK_FINITE(p.i_ivr, "funnel_screen");
+  row.k = buck_row(c.buck, d, c.sys.vout_v, p.i_ivr);
+  return row;
+}
 
-  BuckAnalysis a;
-  const double l_eff = d.l_per_phase_h * c.buck_lmult[f_idx];
-  if (!buck_operating_point(c.buck, d, l_eff, c.sys.vout_v, p.i_ivr, a))
-    return false;  // Unreachable operating point.
-  if (a.i_ripple_phase_a > 2.0 * (p.i_ivr / nn)) return false;  // Require CCM.
-  buck_evaluate(c.buck, d, c.sys.vout_v, p.i_ivr, a);
+// Frequency buck_fsw[f_idx] of a buck row.
+bool buck_point(const FunnelCtx& c, const Plan& p, const BuckScreenRow& row,
+                std::uint64_t f_idx, ScreenMetrics& m, DseResult* r) {
+  if (r) {
+    r->topology = IvrTopology::Buck;
+    r->label = "buck";
+  }
+  if (!row.k.reachable) return false;
+  const double f_sw = c.buck_fsw[f_idx];
+  const double l_eff = row.d.l_per_phase_h * c.buck_lmult[f_idx];
+  if (buck_ripple_phase(row.k, f_sw, l_eff) > 2.0 * row.k.i_phase_a) return false;  // Require CCM.
+  const BuckAnalysis a = buck_at(c.buck, row.k, f_sw, l_eff);
   fill_metrics(c, p, a.p_in_w, a.ripple_pp_v, a.area_m2, m);
   if (r) {
-    r->buck = d;
-    r->f_sw_hz = d.f_sw_hz;
-    r->n_interleave = n_phases;
+    r->buck = row.d;
+    r->buck.f_sw_hz = f_sw;
+    r->f_sw_hz = f_sw;
+    r->n_interleave = row.d.n_phases;
   }
   return a.ripple_pp_v <= c.sys.ripple_max_v && a.area_die_m2 <= p.area_ivr * 1.02;
 }
 
 // LDO/DLDO spaces are small; both call the real analyzers and treat
 // InvalidParameter (pass device too narrow, etc.) as a domain rejection —
-// exactly the optimizer's convention.
+// exactly the optimizer's convention. Each candidate is its own row.
 bool eval_ldo(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMetrics& m,
               DseResult* r) {
   const double drop_frac = c.ldo_drop[local % c.ldo_drop.size()];
@@ -657,15 +653,35 @@ bool eval_dldo(const FunnelCtx& c, const Plan& p, std::uint64_t local, ScreenMet
   }
 }
 
-bool evaluate_candidate(const FunnelCtx& c, const Plan& p, std::uint64_t local,
-                        ScreenMetrics& m, ScRowMemo& memo, DseResult* r = nullptr) {
+// Calls `visit(width, make_row, point)` with plan `p`'s row width and its
+// topology's row and point functions (point(row, j, m, r) evaluates the
+// j-th candidate of the row) and returns what `visit` returns.
+template <class Visit>
+decltype(auto) visit_rows(const FunnelCtx& c, const Plan& p, Visit&& visit) {
+  const auto local_row = [](std::uint64_t local) { return local; };
   switch (p.kind) {
-    case PlanKind::Sc: return eval_sc(c, p, local, m, r, memo);
-    case PlanKind::Buck: return eval_buck(c, p, local, m, r);
-    case PlanKind::Ldo: return eval_ldo(c, p, local, m, r);
-    case PlanKind::Dldo: return eval_dldo(c, p, local, m, r);
+    case PlanKind::Sc:
+      return visit(std::uint64_t{kIlSteps},
+                   [&](std::uint64_t row) { return sc_row(c, p, row); },
+                   [&](const ScRow& row, std::uint64_t j, ScreenMetrics& m, DseResult* r) {
+                     return sc_point(c, p, row, j, m, r);
+                   });
+    case PlanKind::Buck:
+      return visit(std::uint64_t{c.buck_fsw.size()},
+                   [&](std::uint64_t row) { return buck_screen_row(c, p, row); },
+                   [&](const BuckScreenRow& row, std::uint64_t j, ScreenMetrics& m,
+                       DseResult* r) { return buck_point(c, p, row, j, m, r); });
+    case PlanKind::Ldo:
+      return visit(std::uint64_t{1}, local_row,
+                   [&](std::uint64_t local, std::uint64_t, ScreenMetrics& m, DseResult* r) {
+                     return eval_ldo(c, p, local, m, r);
+                   });
+    case PlanKind::Dldo: break;
   }
-  return false;
+  return visit(std::uint64_t{1}, local_row,
+               [&](std::uint64_t local, std::uint64_t, ScreenMetrics& m, DseResult* r) {
+                 return eval_dldo(c, p, local, m, r);
+               });
 }
 
 std::string plan_label(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
@@ -695,18 +711,76 @@ std::string plan_label(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
   return s;
 }
 
+// One block's screen: its survivors' metrics and its skips, each in
+// candidate-index order.
+struct BlockOut {
+  std::vector<FrontEntry> front;  // block-local non-dominated set, index asc
+  std::uint64_t survived = 0;
+  std::uint64_t feasible = 0;
+  std::vector<Diagnostics> skips;
+};
+
+// Screens the local candidates [lo, hi) of plan `p` into `bo`, row by row:
+// `make_row` once per row of `width` candidates that the segment touches (a
+// block boundary can split a row), then `point` for each of the row's
+// candidates inside the segment. A row that throws becomes one skip per
+// candidate of the segment it covers, each with its own label.
+template <class MakeRow, class Point>
+void screen_rows(const FunnelCtx& c, const Plan& p, std::uint64_t lo, std::uint64_t hi,
+                 std::uint64_t width, const MakeRow& make_row, const Point& point,
+                 BlockOut& bo) {
+  std::uint64_t row_index = lo / width;
+  for (std::uint64_t first = row_index * width; first < hi; first += width, ++row_index) {
+    const std::uint64_t begin = std::max(lo, first), end = std::min(hi, first + width);
+    decltype(make_row(row_index)) row;
+    try {
+      row = make_row(row_index);
+    } catch (...) {
+      for (std::uint64_t local = begin; local < end; ++local)
+        bo.skips.push_back(diagnose_current_exception("funnel_screen", plan_label(c, p, local)));
+      continue;
+    }
+    for (std::uint64_t local = begin; local < end; ++local) {
+      ScreenMetrics m;
+      bool feasible = false;
+      try {
+        feasible = point(row, local - first, m, nullptr);
+      } catch (...) {
+        bo.skips.push_back(diagnose_current_exception("funnel_screen", plan_label(c, p, local)));
+        continue;
+      }
+      ++bo.survived;
+      if (feasible) {
+        ++bo.feasible;
+        bo.front.push_back(FrontEntry{p.base + local, m});
+      }
+    }
+  }
+}
+
+// The plan holding global candidate `index`.
+std::size_t plan_index(const FunnelCtx& c, std::uint64_t index) {
+  return static_cast<std::size_t>(
+             std::upper_bound(c.plans.begin(), c.plans.end(), index,
+                              [](std::uint64_t v, const Plan& pl) { return v < pl.base; }) -
+             c.plans.begin()) -
+         1;
+}
+
 // ---------------------------------------------------------------------------
 // Stage 2.5: the frontier's design records
 // ---------------------------------------------------------------------------
 
-// The screen's own evaluation, keeping the design; its metrics are the
-// screen's bit for bit.
+// The screen's own row and point for one candidate, keeping the design; its
+// metrics are the screen's bit for bit.
 DseResult materialize(const FunnelCtx& c, const Plan& p, std::uint64_t local) {
   DseResult r;
   r.n_distributed = p.n_dist;
   ScreenMetrics m;
-  ScRowMemo memo;
-  r.feasible = evaluate_candidate(c, p, local, m, memo, &r);
+  r.feasible = visit_rows(c, p, [&](std::uint64_t width, const auto& make_row,
+                                     const auto& point) {
+    return point(make_row(local / width), local % width, m, &r);
+  });
   r.efficiency = m.efficiency;
   r.ripple_pp_v = m.ripple_pp_v;
   r.area_m2 = m.area_m2;
@@ -881,44 +955,21 @@ ParetoFront funnel_explore(const SystemParams& sys, const FunnelSpec& spec,
       ctx.total == 0 ? 0 : (ctx.total + spec.block - 1) / spec.block;
   out.stats.n_blocks = n_blocks;
 
-  struct BlockOut {
-    std::vector<FrontEntry> front;  // block-local non-dominated set, index asc
-    std::uint64_t survived = 0;
-    std::uint64_t feasible = 0;
-    std::vector<Diagnostics> skips;
-  };
   const std::vector<BlockOut> blocks =
       par::parallel_map<BlockOut>(static_cast<std::size_t>(n_blocks), [&](std::size_t b) {
         BlockOut bo;
-        ScRowMemo sc_memo;
         const std::uint64_t lo = static_cast<std::uint64_t>(b) * spec.block;
         const std::uint64_t hi = std::min(ctx.total, lo + spec.block);
-        // Locate the plan containing `lo`, then walk forward.
-        std::size_t pi =
-            static_cast<std::size_t>(
-                std::upper_bound(ctx.plans.begin(), ctx.plans.end(), lo,
-                                 [](std::uint64_t v, const Plan& pl) { return v < pl.base; }) -
-                ctx.plans.begin()) -
-            1;
-        for (std::uint64_t idx = lo; idx < hi; ++idx) {
-          while (idx >= ctx.plans[pi].base + ctx.plans[pi].count) ++pi;
+        // Each plan's share of [lo, hi), row by row.
+        for (std::size_t pi = plan_index(ctx, lo);
+             pi < ctx.plans.size() && ctx.plans[pi].base < hi; ++pi) {
           const Plan& pl = ctx.plans[pi];
-          const std::uint64_t local = idx - pl.base;
-          ScreenMetrics m;
-          bool feasible = false, ok = true;
-          try {
-            feasible = evaluate_candidate(ctx, pl, local, m, sc_memo);
-          } catch (...) {
-            bo.skips.push_back(
-                diagnose_current_exception("funnel_screen", plan_label(ctx, pl, local)));
-            ok = false;
-          }
-          if (!ok) continue;
-          ++bo.survived;
-          if (feasible) {
-            ++bo.feasible;
-            bo.front.push_back(FrontEntry{idx, m});
-          }
+          const std::uint64_t seg_lo = std::max(lo, pl.base) - pl.base;
+          const std::uint64_t seg_hi = std::min(hi, pl.base + pl.count) - pl.base;
+          visit_rows(ctx, pl, [&](std::uint64_t width, const auto& make_row,
+                                  const auto& point) {
+            screen_rows(ctx, pl, seg_lo, seg_hi, width, make_row, point, bo);
+          });
         }
         // Reduce the block's feasible set to its non-dominated subset here,
         // inside the parallel region, so the serial merge below only ever
@@ -972,13 +1023,7 @@ ParetoFront funnel_explore(const SystemParams& sys, const FunnelSpec& spec,
       par::parallel_map<PointCell>(front.size(), [&](std::size_t i) {
         PointCell cell;
         const FrontEntry& e = front[i];
-        const std::size_t pi =
-            static_cast<std::size_t>(
-                std::upper_bound(ctx.plans.begin(), ctx.plans.end(), e.index,
-                                 [](std::uint64_t v, const Plan& pl) { return v < pl.base; }) -
-                ctx.plans.begin()) -
-            1;
-        const Plan& pl = ctx.plans[pi];
+        const Plan& pl = ctx.plans[plan_index(ctx, e.index)];
         const std::uint64_t local = e.index - pl.base;
         cell.outcome =
             quarantine("funnel_frontier", plan_label(ctx, pl, local), [&]() -> ParetoPoint {
@@ -1015,14 +1060,8 @@ ParetoFront funnel_explore(const SystemParams& sys, const FunnelSpec& spec,
       for (std::size_t i = 0; i < out.points.size(); ++i) {
         ParetoPoint& pt = out.points[i];
         if (!pt.design.feasible) continue;  // Simulate realizable designs only.
-        const std::size_t pi =
-            static_cast<std::size_t>(
-                std::upper_bound(ctx.plans.begin(), ctx.plans.end(), pt.index,
-                                 [](std::uint64_t v, const Plan& pl) { return v < pl.base; }) -
-                ctx.plans.begin()) -
-            1;
-        plan_of[i] = pi;
-        keys[i] = sim_key(ctx, ctx.plans[pi], pt.design);
+        plan_of[i] = plan_index(ctx, pt.index);
+        keys[i] = sim_key(ctx, ctx.plans[plan_of[i]], pt.design);
         if (const SimOut* hit = cache.find(keys[i])) {
           // A memo hit is a simulated survivor too, so the report does not
           // depend on what earlier calls left in the cache.

@@ -5,13 +5,15 @@
 //
 // Stage boundaries:
 //   1. *Screen* — millions of candidates, streamed through `parallel_for`
-//      in fixed-size blocks so memory stays bounded. Each candidate is the
-//      exact static model: the SC and buck screens call the analyzers' own
-//      O(1) evaluation kernels (sc_evaluate, buck_operating_point +
-//      buck_evaluate) on a part prepared once per plan; the small LDO/DLDO
-//      spaces call the real analyzers directly. Per-candidate quarantine:
-//      a candidate whose evaluation throws becomes a recorded skip, never
-//      an aborted sweep.
+//      in fixed-size blocks so memory stays bounded, and walked row by row
+//      inside a block. Each candidate is the exact static model: the SC
+//      and buck screens call the analyzers' own O(1) evaluation kernels on
+//      a part prepared once per plan, sizing each row once (an SC row's
+//      regulated rates for its interleave values; buck_row, the buck
+//      kernel's f_sw-free half, for buck_at at each f_sw); the small
+//      LDO/DLDO spaces call the real analyzers directly. Per-candidate
+//      quarantine: a candidate whose evaluation throws becomes a recorded
+//      skip, never an aborted sweep.
 //   2. *Extract* — exact non-dominated filtering: a bucketed sweep that
 //      sorts only the points no better-efficiency bucket already dominates.
 //      Block-local fronts are merged serially in block order, so the front

@@ -29,6 +29,7 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t shards) {
   capacity = std::max<std::size_t>(1, capacity);
   shards = std::max<std::size_t>(1, std::min(shards, capacity));
   per_shard_capacity_ = std::max<std::size_t>(1, capacity / shards);
+  per_shard_bytes_ = kResultCacheBytes / shards;
   shards_ = std::vector<Shard>(shards);
 }
 
@@ -59,8 +60,13 @@ void ResultCache::insert(std::uint64_t key_hash, std::string canonical_key,
     s.lru.splice(s.lru.begin(), s.lru, it->second);
     return;
   }
-  if (s.lru.size() >= per_shard_capacity_) {
-    s.index.erase(std::string_view(s.lru.back().key));
+  const std::size_t size = canonical_key.size() + payload.size();
+  if (size > per_shard_bytes_) return;  // Served, never held.
+  std::uint64_t bytes = s.bytes.load(std::memory_order_relaxed);
+  while (s.lru.size() >= per_shard_capacity_ || bytes + size > per_shard_bytes_) {
+    const Entry& victim = s.lru.back();
+    bytes -= victim.key.size() + victim.payload.size();
+    s.index.erase(std::string_view(victim.key));
     s.lru.pop_back();
     s.evictions.fetch_add(1, std::memory_order_relaxed);
     g_evictions().add();
@@ -68,6 +74,7 @@ void ResultCache::insert(std::uint64_t key_hash, std::string canonical_key,
   s.lru.push_front(Entry{std::move(canonical_key), std::move(payload)});
   s.index.emplace(std::string_view(s.lru.front().key), s.lru.begin());
   s.entries.store(s.lru.size(), std::memory_order_relaxed);
+  s.bytes.store(bytes + size, std::memory_order_relaxed);
 }
 
 CacheStats ResultCache::stats() const {
@@ -81,6 +88,7 @@ CacheStats ResultCache::stats() const {
     out.misses += s.misses.load(std::memory_order_relaxed);
     out.evictions += s.evictions.load(std::memory_order_relaxed);
     out.entries += s.entries.load(std::memory_order_relaxed);
+    out.bytes += s.bytes.load(std::memory_order_relaxed);
   }
   return out;
 }
@@ -91,6 +99,7 @@ void ResultCache::clear() {
     s.index.clear();
     s.lru.clear();
     s.entries.store(0, std::memory_order_relaxed);
+    s.bytes.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -11,6 +11,14 @@
 // shards (per-shard LRU, not global — an intentionally cheap approximation;
 // a pathological key distribution can evict earlier than a global LRU
 // would, which costs a re-evaluation, never a wrong answer).
+//
+// Two bounds hold in every shard: its share of the entry capacity and its
+// share of a byte budget over keys plus payloads (kResultCacheBytes), so a
+// stream of distinct requests with large keys or replies (a grid netlist's
+// canonical key, a pareto reply) cannot grow the process without limit. An
+// entry larger than its shard's byte share is not cached at all; its reply
+// is still served (and written through to the durable store) by the caller.
+//
 // Counter discipline: hit/miss/eviction tallies are std::atomic — bumped at
 // event time (inside the shard lock) but *read* lock-free by stats(), so
 // concurrent clients polling the "stats"/"metrics" ops never contend with
@@ -33,18 +41,24 @@
 
 namespace ivory::serve {
 
+/// Byte budget of a ResultCache across all its shards: canonical keys plus
+/// payloads.
+inline constexpr std::size_t kResultCacheBytes = std::size_t{8} << 20;
+
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t entries = 0;
+  std::uint64_t bytes = 0;  ///< keys + payloads held
   std::uint64_t capacity = 0;
 };
 
 class ResultCache {
  public:
-  /// `capacity` is the total entry budget across all shards (min 1).
-  /// `shards` is clamped so every shard holds at least one entry.
+  /// `capacity` is the total entry budget across all shards (min 1); each
+  /// shard gets an even share of it and of kResultCacheBytes. `shards` is
+  /// clamped so every shard holds at least one entry.
   explicit ResultCache(std::size_t capacity, std::size_t shards = 8);
 
   ResultCache(const ResultCache&) = delete;
@@ -55,7 +69,8 @@ class ResultCache {
   std::optional<std::string> lookup(std::uint64_t key_hash, std::string_view canonical_key);
 
   /// Inserts (or refreshes) an entry, evicting the shard's least-recently
-  /// used entry when full.
+  /// used entries until both its entry and its byte share hold. An entry
+  /// larger than the shard's byte share is not inserted.
   void insert(std::uint64_t key_hash, std::string canonical_key, std::string payload);
 
   CacheStats stats() const;
@@ -76,6 +91,7 @@ class ResultCache {
     /// Written under mu, read lock-free by stats().
     std::atomic<std::uint64_t> hits{0}, misses{0}, evictions{0};
     std::atomic<std::uint64_t> entries{0};  ///< == lru.size(), mirrored on change
+    std::atomic<std::uint64_t> bytes{0};    ///< keys + payloads in lru, mirrored
   };
 
   Shard& shard_for(std::uint64_t key_hash) {
@@ -83,6 +99,7 @@ class ResultCache {
   }
 
   std::size_t per_shard_capacity_;
+  std::size_t per_shard_bytes_;
   std::vector<Shard> shards_;
 };
 

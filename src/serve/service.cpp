@@ -246,6 +246,7 @@ std::string Service::handle_line(const std::string& line) {
     cache.emplace_back("misses", s.cache.misses);
     cache.emplace_back("evictions", s.cache.evictions);
     cache.emplace_back("entries", s.cache.entries);
+    cache.emplace_back("bytes", s.cache.bytes);
     cache.emplace_back("capacity", s.cache.capacity);
     json::Value::Object o;
     o.emplace_back("cache", json::Value(std::move(cache)));

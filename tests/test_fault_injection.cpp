@@ -8,6 +8,7 @@
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -225,6 +226,10 @@ TEST_F(FaultInjectionTest, AllCandidatesNanRaisesNonFiniteDominant) {
   }
 }
 
+// Also at block 256, where block boundaries split the screen's rows: a row
+// that throws becomes one skip per candidate of its block segment, so the
+// skips are the same list at either block size, one per candidate in index
+// order, each with its own label.
 TEST_F(FaultInjectionTest, FunnelNanLoadQuarantinesEveryCandidate) {
   const SystemParams sys;
   core::FunnelSpec spec = core::FunnelSpec{}.scaled(0.15);
@@ -232,23 +237,38 @@ TEST_F(FaultInjectionTest, FunnelNanLoadQuarantinesEveryCandidate) {
   const std::uint64_t n_screened = core::funnel_explore(sys, spec).stats.n_screened;
   ASSERT_GT(n_screened, 0u);
 
-  // The poisoned load reaches every candidate of every topology, and each
-  // must die on a finite guard: an unreachable buck duty is no excuse to
-  // call a NaN-loaded candidate merely infeasible.
-  fault::arm_probability("funnel_explore", fault::Action::EmitNan, 1.0, 7);
-  SweepReport report;
-  try {
-    core::funnel_explore(sys, spec, &report);
-    FAIL() << "expected SweepError";
-  } catch (const SweepError& e) {
-    EXPECT_EQ(e.dominant().code, ErrorCode::NonFinite);
+  std::vector<std::string> ref;
+  for (const std::size_t block : {spec.block, std::size_t{256}}) {
+    spec.block = block;
+    // The poisoned load reaches every candidate of every topology, and each
+    // must die on a finite guard: an unreachable buck duty is no excuse to
+    // call a NaN-loaded candidate merely infeasible.
+    fault::arm_probability("funnel_explore", fault::Action::EmitNan, 1.0, 7);
+    SweepReport report;
+    try {
+      core::funnel_explore(sys, spec, &report);
+      FAIL() << "expected SweepError at block " << block;
+    } catch (const SweepError& e) {
+      EXPECT_EQ(e.dominant().code, ErrorCode::NonFinite) << "block " << block;
+    }
+    fault::disarm_all();
+    EXPECT_EQ(report.skips.size(), n_screened) << "block " << block;
+    EXPECT_EQ(report.n_survived, 0u) << "block " << block;
+    std::size_t not_non_finite = 0;
+    std::vector<std::string> skips;
+    std::set<std::string> labels;
+    for (const Diagnostics& d : report.skips) {
+      if (d.code != ErrorCode::NonFinite) ++not_non_finite;
+      skips.push_back(d.to_string());
+      labels.insert(d.candidate);
+    }
+    EXPECT_EQ(not_non_finite, 0u) << "block " << block;
+    EXPECT_EQ(labels.size(), skips.size()) << "block " << block << ": a label repeats";
+    if (ref.empty())
+      ref = skips;
+    else
+      EXPECT_EQ(skips, ref) << "block " << block << " changed the skips or their order";
   }
-  EXPECT_EQ(report.skips.size(), n_screened);
-  EXPECT_EQ(report.n_survived, 0u);
-  std::size_t not_non_finite = 0;
-  for (const Diagnostics& d : report.skips)
-    if (d.code != ErrorCode::NonFinite) ++not_non_finite;
-  EXPECT_EQ(not_non_finite, 0u);
 }
 
 }  // namespace

@@ -47,6 +47,20 @@ TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   par::set_global_threads(1);
 }
 
+// Many short batches back to back: each batch lives on the submitter's
+// stack, and a worker that is still letting go of one must not touch it
+// after the submitter has returned and reused the stack for the next. Under
+// ThreadSanitizer (`ctest -L tsan`) a late touch reports as a race.
+TEST(ThreadPool, ShortBatchesBackToBack) {
+  par::set_global_threads(4);
+  constexpr int kBatches = 12000;
+  std::atomic<std::size_t> total{0};
+  for (int b = 0; b < kBatches; ++b)
+    par::parallel_for(8, [&](std::size_t i) { total.fetch_add(i + 1, std::memory_order_relaxed); });
+  EXPECT_EQ(total.load(), std::size_t{36} * kBatches);
+  par::set_global_threads(1);
+}
+
 TEST(ThreadPool, ParallelMapPreservesIndexOrder) {
   par::set_global_threads(4);
   const std::vector<double> out =

@@ -272,20 +272,33 @@ FunnelSpec small_spec() {
   return spec;
 }
 
+// Thread count and block size are both free. The screen walks each block
+// row by row (an SC row holds 7 candidates, a buck row one per f_sw value),
+// and blocks of 256 and 1000 cut rows apart where the default block, which
+// holds this whole sweep, does not. The front, its stats apart from the
+// block count, and the report are the same bytes every time.
 TEST_F(ParetoTest, FrontIsByteIdenticalAtAnyThreadCount) {
   const SystemParams sys;
-  const FunnelSpec spec = small_spec();
-
-  par::set_global_threads(1);
-  core::funnel_sim_cache_clear();
-  const std::string ref = core::to_json(core::funnel_explore(sys, spec)).write_canonical();
-  ASSERT_FALSE(ref.empty());
-
-  for (const unsigned n : {2u, 4u}) {
-    par::set_global_threads(n);
-    core::funnel_sim_cache_clear();
-    EXPECT_EQ(core::to_json(core::funnel_explore(sys, spec)).write_canonical(), ref)
-        << "thread count " << n;
+  std::string ref;
+  for (const std::size_t block : {FunnelSpec{}.block, std::size_t{256}, std::size_t{1000}}) {
+    FunnelSpec spec = small_spec();
+    spec.block = block;
+    for (const unsigned n : {1u, 2u, 4u}) {
+      par::set_global_threads(n);
+      core::funnel_sim_cache_clear();
+      SweepReport report;
+      ParetoFront front = core::funnel_explore(sys, spec, &report);
+      EXPECT_EQ(front.stats.n_blocks, (front.stats.n_screened + block - 1) / block);
+      front.stats.n_blocks = 0;
+      const std::string got = core::to_json(front).write_canonical() + "\n" +
+                              to_json(report).write_canonical();
+      if (ref.empty()) {
+        ref = got;
+        ASSERT_GT(front.stats.n_screened, 2 * 1000u) << "too few candidates to split blocks";
+      } else {
+        EXPECT_EQ(got, ref) << "block " << block << ", thread count " << n;
+      }
+    }
   }
 }
 

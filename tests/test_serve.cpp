@@ -310,6 +310,7 @@ TEST(Serve, StatsOpReportsCountersAndIsNeverCached) {
   EXPECT_DOUBLE_EQ(res->find("n_requests")->as_number(), 2.0);
   EXPECT_DOUBLE_EQ(res->find("n_evaluations")->as_number(), 1.0);
   EXPECT_DOUBLE_EQ(res->find("cache")->find("entries")->as_number(), 1.0);
+  EXPECT_GT(res->find("cache")->find("bytes")->as_number(), 0.0);
   // A second stats call sees different counters — proof it was not cached.
   const std::string r2 = svc.handle_line(R"({"op":"stats","id":0})");
   EXPECT_DOUBLE_EQ(parsed(r2).find("result")->find("n_requests")->as_number(), 3.0);
@@ -380,6 +381,71 @@ TEST(Serve, LruEvictionUnderTinyCapacity) {
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.entries, 2u);
   EXPECT_EQ(s.capacity, 2u);
+}
+
+// 4096 shards of the shipped budget hold 100 entries and 2 KiB each; one
+// forged hash puts every key in the same shard, so only bytes evict.
+TEST(Serve, LruEvictionUnderTheByteBudget) {
+  ResultCache cache(409600, 4096);
+  const std::size_t share = kResultCacheBytes / 4096;
+  const std::size_t unit = share / 3;  // three units fit, a fourth does not
+  const auto body = [](std::size_t key_and_payload, const std::string& key) {
+    return std::string(key_and_payload - key.size(), 'p');
+  };
+  const std::uint64_t h = 0;
+  cache.insert(h, "a", body(unit, "a"));
+  cache.insert(h, "b", body(unit, "b"));
+  cache.insert(h, "c", body(unit, "c"));
+  EXPECT_EQ(cache.stats().bytes, 3 * unit);
+  ASSERT_TRUE(cache.lookup(h, "a").has_value());  // promotes "a": a, c, b
+  cache.insert(h, "d", body(unit, "d"));          // over by one unit: evicts "b"
+  EXPECT_FALSE(cache.lookup(h, "b").has_value());
+  EXPECT_TRUE(cache.lookup(h, "c").has_value());  // c, d, a
+  cache.insert(h, "e", body(2 * unit, "e"));      // two units: evicts "a", "d"
+  EXPECT_FALSE(cache.lookup(h, "a").has_value());
+  EXPECT_FALSE(cache.lookup(h, "d").has_value());
+  EXPECT_EQ(cache.lookup(h, "c").value(), body(unit, "c"));
+  EXPECT_EQ(cache.lookup(h, "e").value(), body(2 * unit, "e"));
+  const CacheStats s = cache.stats();
+  EXPECT_EQ(s.evictions, 3u);
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.bytes, 3 * unit);
+  EXPECT_EQ(s.capacity, 409600u);
+
+  // One byte more than the shard's whole share: never held, and nothing
+  // evicted to make room for it.
+  cache.insert(h, "big", body(share + 1, "big"));
+  EXPECT_FALSE(cache.lookup(h, "big").has_value());
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().evictions, 3u);
+}
+
+// An 8 MiB budget over 4096 shards leaves 2 KiB per shard: a pareto reply
+// is too large to hold, so it is served fresh every time (byte-identical),
+// while a small static analysis still caches and hits.
+TEST(Serve, OversizeReplyIsServedButNotCached) {
+  ServiceOptions opt;
+  opt.cache_shards = 4096;
+  Service svc(opt);
+  const std::string pareto =
+      R"({"op":"pareto","id":1,"power":20,"area":20,"density":0.2,"simulate":false})";
+  const std::string cold = svc.handle_line(pareto);
+  ASSERT_TRUE(response_ok(cold)) << cold;
+  ASSERT_GT(cold.size(), kResultCacheBytes / 4096);
+  EXPECT_EQ(svc.stats().cache.entries, 0u);
+  EXPECT_EQ(svc.handle_line(pareto), cold);
+  EXPECT_EQ(svc.stats().n_evaluations, 2u);
+  EXPECT_EQ(svc.stats().cache.hits, 0u);
+
+  const std::string small = request_mix()[0];
+  const std::string first = svc.handle_line(small);
+  ASSERT_TRUE(response_ok(first));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(svc.handle_line(small), first);
+  const CacheStats s = svc.stats().cache;
+  EXPECT_EQ(s.hits, 3u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_GT(s.bytes, 0u);
+  EXPECT_LE(s.bytes, kResultCacheBytes / 4096);
 }
 
 TEST(Serve, HashCollisionDegradesToMissNotWrongAnswer) {

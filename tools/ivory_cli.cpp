@@ -738,6 +738,9 @@ void usage() {
       "  ivory batch    [--repeat N --threads N --cache N --queue N --wave N\n"
       "                  --cache-dir PATH --store-max-bytes B]\n"
       "                  NDJSON requests on stdin -> NDJSON responses on stdout\n"
+      "                  (batch and serve: --cache N caps the in-memory cache at\n"
+      "                  N entries and at 8 MiB of keys + replies, whichever binds\n"
+      "                  first)\n"
       "  ivory serve    --socket PATH [--workers N --threads N --cache N --queue N\n"
       "                  --wave N --cache-dir PATH --store-max-bytes B]\n"
       "                  same protocol over a Unix-domain socket; EOF on stdin stops\n"
