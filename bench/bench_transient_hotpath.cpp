@@ -10,10 +10,13 @@
 // is tracked across PRs.
 //
 // Also sweeps N x N on-chip power grids (8x8 up to 100x100, ~10k MNA
-// unknowns) across the dense, banded, and sparse factorization kernels,
-// cross-checks the kernels agree to 1e-9 relative tolerance, and records the
-// dense -> sparse crossover (steps/s ratio at the largest grid dense can
-// still handle) into the same JSON.
+// unknowns) across the dense, banded, and sparse factorization kernels
+// (sparse runs multifrontal on grids), cross-checks the kernels agree to
+// 1e-9 relative tolerance, times each kernel's structural analysis, records
+// `auto`'s pick per size, the dense -> sparse crossover (steps/s ratio at the
+// largest grid dense can still handle), and the 100x100 verdict against the
+// sparse-kernel gate (factor entries >= 3x fewer than banded, steps/s >= 2x
+// banded's) into the same JSON.
 //
 // Usage: bench_transient_hotpath [--smoke] [output.json]
 //   --smoke  tiny sizes, min of two reps (used by the perf-smoke ctest label)
@@ -133,6 +136,8 @@ struct Point {
 struct GridPoint {
   std::string kernel;       ///< Requested kernel name.
   std::string selected;     ///< Kernel actually used (differs only for auto).
+  bool multifrontal = false;  ///< The sparse kernel's path (else Gilbert-Peierls).
+  double analysis_ms = 0.0;   ///< sparse::analyze on the operating-point matrix.
   double wall_s = 0.0;
   double steps_per_s = 0.0;
   std::size_t steps = 0;
@@ -270,13 +275,17 @@ int main(int argc, char** argv) {
   // power grids. Dense is capped at the largest size where an O(n^3) factor
   // still completes in benchmark time; the sparse kernels run the full
   // range, demonstrating the asymptotic crossover.
-  const std::vector<int> grid_sizes = smoke ? std::vector<int>{8, 12}
-                                            : std::vector<int>{8, 16, 32, 48, 64, 100};
+  const std::vector<int> grid_sizes = smoke ? std::vector<int>{8, 12, 32}
+                                            : std::vector<int>{8, 16, 24, 32, 48, 64, 100};
   const int dense_cap_nx = smoke ? 12 : 48;
   std::vector<GridRow> grid_rows;
   bool grid_agree = true;
+  bool multifrontal_ran = false;
   double crossover_speedup = 0.0;
   int crossover_nx = 0;
+  int auto_sparse_from_nx = 0;  ///< Smallest swept size `auto` factors sparse.
+  // Gate at the largest swept size (100x100 in the full sweep).
+  double gate_fill_ratio = 0.0, gate_steps_ratio = 0.0;
 
   std::printf("=== Grid-size sweep: dense vs banded vs sparse ===\n\n");
   for (const int nx : grid_sizes) {
@@ -299,7 +308,18 @@ int main(int argc, char** argv) {
     std::vector<spice::TranResult> results;
     results.reserve(kernels.size());
     double dense_sps = 0.0, best_sparse_sps = 0.0;
+    const sparse::CscMatrix dc = spice::dc_matrix(ckt);
     for (const auto& [kname, kreq] : kernels) {
+      GridPoint p;
+      p.kernel = kname;
+      p.analysis_ms = 1e300;
+      for (int r = 0; r < reps; ++r) {
+        const auto t0 = Clock::now();
+        const auto sym = sparse::analyze(dc, kreq);
+        p.analysis_ms = std::min(p.analysis_ms, 1e3 * seconds_since(t0));
+        p.multifrontal = sym->multifrontal();
+      }
+
       spice::TranSpec spec;
       spec.tstop = 10e-9;
       spec.dt = 0.1e-9;
@@ -307,8 +327,6 @@ int main(int argc, char** argv) {
       spec.record_nodes = {nodes.center};
       spec.kernel = kreq;
 
-      GridPoint p;
-      p.kernel = kname;
       p.wall_s = 1e300;
       spice::TranResult res;
       for (int r = 0; r < reps; ++r) {
@@ -331,6 +349,9 @@ int main(int argc, char** argv) {
       if (kname == "dense") dense_sps = p.steps_per_s;
       if (kname == "banded" || kname == "sparse")
         best_sparse_sps = std::max(best_sparse_sps, p.steps_per_s);
+      if (kname == "sparse") multifrontal_ran = multifrontal_ran || p.multifrontal;
+      if (kname == "auto" && p.selected == "sparse" && auto_sparse_from_nx == 0)
+        auto_sparse_from_nx = nx;
       results.push_back(std::move(res));
       row.points.push_back(std::move(p));
     }
@@ -339,11 +360,21 @@ int main(int argc, char** argv) {
       crossover_nx = nx;
       crossover_speedup = best_sparse_sps / dense_sps;
     }
+    const auto point = [&](const char* kname) -> const GridPoint& {
+      for (const GridPoint& p : row.points)
+        if (p.kernel == kname) return p;
+      return row.points.front();
+    };
+    gate_fill_ratio = static_cast<double>(point("banded").factor_nnz) /
+                      static_cast<double>(std::max<std::size_t>(point("sparse").factor_nnz, 1));
+    gate_steps_ratio = point("sparse").steps_per_s / point("banded").steps_per_s;
 
-    TextTable table({"kernel", "selected", "steps", "wall", "steps/s", "factor nnz",
-                     "max rel err"});
+    TextTable table({"kernel", "selected", "path", "analysis", "steps", "wall", "steps/s",
+                     "factor nnz", "max rel err"});
     for (const GridPoint& p : row.points)
-      table.add_row({p.kernel, p.selected, std::to_string(p.steps),
+      table.add_row({p.kernel, p.selected,
+                     p.selected != "sparse" ? "-" : p.multifrontal ? "multifrontal" : "min-degree",
+                     TextTable::si(1e-3 * p.analysis_ms, "s"), std::to_string(p.steps),
                      TextTable::si(p.wall_s, "s"), TextTable::si(p.steps_per_s, ""),
                      std::to_string(p.factor_nnz), TextTable::num(p.max_rel_err, 3)});
     std::printf("--- grid %dx%d (%zu MNA unknowns) ---\n%s\n", nx, nx, row.n_mna,
@@ -354,6 +385,18 @@ int main(int argc, char** argv) {
     std::printf("grid crossover: at %dx%d the best sparse kernel sustains %.1fx the dense "
                 "steps/s\n",
                 crossover_nx, crossover_nx, crossover_speedup);
+  const int gate_nx = grid_sizes.back();
+  const bool gate_met = gate_fill_ratio >= 3.0 && gate_steps_ratio >= 2.0;
+  std::printf("auto picks sparse from %dx%d on; below it, banded\n", auto_sparse_from_nx,
+              auto_sparse_from_nx);
+  std::printf("sparse-kernel gate at %dx%d%s: banded/sparse factor entries %.2fx (>= 3), "
+              "sparse/banded steps/s %.2fx (>= 2): %s\n",
+              gate_nx, gate_nx, smoke ? " (judged at 100x100 in the full sweep)" : "",
+              gate_fill_ratio, gate_steps_ratio, gate_met ? "met" : "NOT met");
+  if (!multifrontal_ran) {
+    std::printf("ERROR: no forced-sparse grid took the multifrontal path\n");
+    grid_agree = false;
+  }
 
   std::printf("sc2_fixed: default capacity does %.1fx fewer factorizations than capacity 1 "
               "(wall-clock speedup %.2fx vs capacity 1, %.2fx vs no cache)\n",
@@ -406,6 +449,11 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"grid_crossover_nx\": %d,\n", crossover_nx);
   std::fprintf(f, "  \"grid_crossover_sparse_vs_dense_steps_per_s\": %.3f,\n",
                crossover_speedup);
+  std::fprintf(f, "  \"grid_auto_sparse_from_nx\": %d,\n", auto_sparse_from_nx);
+  std::fprintf(f, "  \"grid_gate_nx\": %d,\n", gate_nx);
+  std::fprintf(f, "  \"grid_gate_banded_over_sparse_factor_nnz\": %.3f,\n", gate_fill_ratio);
+  std::fprintf(f, "  \"grid_gate_sparse_over_banded_steps_per_s\": %.3f,\n", gate_steps_ratio);
+  std::fprintf(f, "  \"grid_gate_met\": %s,\n", gate_met ? "true" : "false");
   std::fprintf(f, "  \"grid\": [\n");
   for (std::size_t gi = 0; gi < grid_rows.size(); ++gi) {
     const GridRow& row = grid_rows[gi];
@@ -413,11 +461,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < row.points.size(); ++i) {
       const GridPoint& p = row.points[i];
       std::fprintf(f,
-                   "      {\"kernel\": \"%s\", \"selected\": \"%s\", \"steps\": %zu, "
-                   "\"wall_s\": %.6e, \"steps_per_s\": %.6e, \"factor_nnz\": %zu, "
-                   "\"max_rel_err\": %.3e}%s\n",
-                   p.kernel.c_str(), p.selected.c_str(), p.steps, p.wall_s, p.steps_per_s,
-                   p.factor_nnz, p.max_rel_err, i + 1 < row.points.size() ? "," : "");
+                   "      {\"kernel\": \"%s\", \"selected\": \"%s\", \"multifrontal\": %s, "
+                   "\"analysis_ms\": %.4f, \"steps\": %zu, \"wall_s\": %.6e, "
+                   "\"steps_per_s\": %.6e, \"factor_nnz\": %zu, \"max_rel_err\": %.3e}%s\n",
+                   p.kernel.c_str(), p.selected.c_str(), p.multifrontal ? "true" : "false",
+                   p.analysis_ms, p.steps, p.wall_s, p.steps_per_s, p.factor_nnz, p.max_rel_err,
+                   i + 1 < row.points.size() ? "," : "");
     }
     std::fprintf(f, "    ]}%s\n", gi + 1 < grid_rows.size() ? "," : "");
   }

@@ -144,14 +144,16 @@ std::vector<std::int32_t> rcm_order(const std::vector<std::vector<std::int32_t>>
     const std::size_t dy = adj[static_cast<std::size_t>(y)].size();
     return dx != dy ? dx < dy : x < y;
   };
+  std::vector<char> tmp(n, 0);
   for (std::size_t s = 0; s < n; ++s) {
     if (seen[s]) continue;
-    // Pseudo-peripheral start: BFS twice from the component's first node.
-    std::vector<char> tmp(n, 0);
+    // Pseudo-peripheral start: BFS twice from the component's first node
+    // (clearing only what each BFS marked, so many components stay linear).
     std::int32_t far1 = 0, far2 = 0;
-    bfs_component(adj, static_cast<std::int32_t>(s), tmp, &far1);
-    std::fill(tmp.begin(), tmp.end(), 0);
-    bfs_component(adj, far1, tmp, &far2);
+    for (const std::int32_t v : bfs_component(adj, static_cast<std::int32_t>(s), tmp, &far1))
+      tmp[static_cast<std::size_t>(v)] = 0;
+    for (const std::int32_t v : bfs_component(adj, far1, tmp, &far2))
+      tmp[static_cast<std::size_t>(v)] = 0;
     const std::int32_t root = far2;
 
     // Cuthill-McKee: BFS with neighbours appended in (degree, id) order.
@@ -253,6 +255,346 @@ std::vector<std::int32_t> min_degree_order(std::vector<std::vector<std::int32_t>
   return order;
 }
 
+// ---------------------------------------------------------------------------
+// Nested dissection and the multifrontal front tree
+// ---------------------------------------------------------------------------
+
+using Graph = std::vector<std::vector<std::int32_t>>;
+
+inline std::size_t ix(std::int32_t i) { return static_cast<std::size_t>(i); }
+
+// A region at or below this many unknowns becomes one leaf front. Dense
+// leaves store more than their sparse fill; on the 64 x 64 grid, leaves of 8
+// store 173,682 factor entries against 300,968 for leaves of 32, and factor
+// and solve ~40% faster.
+constexpr std::int64_t kLeafUnknowns = 8;
+
+// Largest separator the multifrontal path accepts, in unknowns. A 2-D
+// grid's BFS separators stay near sqrt(n) (an anti-diagonal of the N x N
+// mesh); irregular netlists (random trees with chords and hubs) have
+// separators proportional to n, where dense fronts cost O(n^3) and minimum
+// degree keeps the factor far smaller.
+std::int64_t max_separator(std::size_t n) {
+  return std::max<std::int64_t>(
+      64, static_cast<std::int64_t>(3.0 * std::sqrt(static_cast<double>(n))));
+}
+
+// Zero-diagonal unknowns (voltage-source and DC inductor branch currents,
+// nodes held only by sources and capacitors) cannot pivot on their own
+// diagonal, and a front pivots only over its fully-summed rows. So each is
+// paired with a neighbour — a terminal with a diagonal first, else another
+// zero-diagonal unknown — into one supervariable, which the dissection never
+// splits: the pair is eliminated inside one front, where the off-diagonal
+// pivot is a fully-summed row. Returns the group representative per unknown,
+// or nothing when some zero-diagonal unknown finds every neighbour already
+// paired: a group of three could hold two rows reaching only one column
+// inside its front, and the pattern stays off the multifrontal path.
+std::vector<std::int32_t> pivot_groups(const CscMatrix& a, const Graph& adj) {
+  const std::size_t n = a.n;
+  std::vector<char> zero_diag(n, 1);
+  for (std::size_t c = 0; c < n; ++c)
+    for (std::int32_t k = a.col_ptr[c]; k < a.col_ptr[c + 1]; ++k)
+      if (ix(a.row_ind[ix(k)]) == c) zero_diag[c] = 0;
+  std::vector<std::int32_t> group(n);
+  for (std::size_t v = 0; v < n; ++v) group[v] = static_cast<std::int32_t>(v);
+  std::vector<char> taken(n, 0);
+  const auto first_free = [&](std::size_t z, bool need_diag) {
+    for (const std::int32_t u : adj[z])
+      if (!taken[ix(u)] && !(need_diag && zero_diag[ix(u)])) return u;
+    return std::int32_t{-1};
+  };
+  for (std::size_t z = 0; z < n; ++z) {
+    if (!zero_diag[z] || taken[z]) continue;
+    std::int32_t partner = first_free(z, true);
+    if (partner < 0) partner = first_free(z, false);
+    if (partner < 0 && !adj[z].empty()) return {};
+    taken[z] = 1;
+    if (partner >= 0) {
+      taken[ix(partner)] = 1;
+      group[z] = partner;
+    }
+  }
+  return group;
+}
+
+// Recursive BFS level-set bisection of a weighted graph (the supervariable
+// graph). A connected region above the leaf size is split at a BFS level
+// from a pseudo-peripheral node: the level where the weight passes half,
+// thinned to the vertices with a neighbour beyond it. Both sides are
+// dissected before their separator is emitted, so tree nodes come out in
+// postorder.
+class Dissection {
+ public:
+  Dissection(const Graph& adj, const std::vector<std::int32_t>& weight,
+             std::int64_t max_sep)
+      : adj_(adj), weight_(weight), region_(adj.size(), 0), max_sep_(max_sep) {}
+
+  /// Dissects the whole graph; false when a separator exceeded the bound.
+  bool run() {
+    std::vector<std::int32_t> all(adj_.size());
+    for (std::size_t v = 0; v < all.size(); ++v) all[v] = static_cast<std::int32_t>(v);
+    std::vector<std::int32_t> roots;
+    dissect(std::move(all), 0, roots);
+    return ok_;
+  }
+
+  /// Tree node t holds vertices node_v[node_ptr[t] .. node_ptr[t+1]).
+  std::vector<std::size_t> node_ptr{0};
+  std::vector<std::int32_t> node_v;
+  std::vector<std::int32_t> parent;  ///< -1 for roots.
+
+ private:
+  std::int32_t emit(const std::vector<std::int32_t>& verts) {
+    node_v.insert(node_v.end(), verts.begin(), verts.end());
+    node_ptr.push_back(node_v.size());
+    parent.push_back(-1);
+    return static_cast<std::int32_t>(parent.size() - 1);
+  }
+
+  void relabel(const std::vector<std::int32_t>& verts, std::int32_t rid) {
+    for (const std::int32_t v : verts) region_[ix(v)] = rid;
+  }
+
+  // BFS over region `rid` from `root`: order_ in BFS order, level l at
+  // order_[lvl_[l] .. lvl_[l+1]).
+  void bfs(std::int32_t root, std::int32_t rid) {
+    order_.assign(1, root);
+    lvl_.assign(1, 0);
+    const std::int32_t mark = --stamp_;
+    region_[ix(root)] = mark;
+    for (std::size_t head = 0; head < order_.size();) {
+      const std::size_t end = order_.size();
+      for (; head < end; ++head)
+        for (const std::int32_t u : adj_[ix(order_[head])])
+          if (region_[ix(u)] == rid) {
+            region_[ix(u)] = mark;
+            order_.push_back(u);
+          }
+      lvl_.push_back(end);
+    }
+    relabel(order_, rid);
+  }
+
+  void dissect(std::vector<std::int32_t> verts, std::int32_t rid,
+               std::vector<std::int32_t>& roots) {
+    if (!ok_) return;
+    std::int64_t total = 0;
+    for (const std::int32_t v : verts) total += weight_[ix(v)];
+    if (total <= kLeafUnknowns) {
+      roots.push_back(emit(verts));
+      return;
+    }
+    bfs(verts.front(), rid);
+    if (order_.size() < verts.size()) {
+      // Disconnected: each component is dissected on its own.
+      std::vector<std::pair<std::vector<std::int32_t>, std::int32_t>> comps;
+      for (const std::int32_t v : verts) {
+        if (region_[ix(v)] != rid) continue;
+        bfs(v, rid);
+        comps.emplace_back(order_, --stamp_);
+        relabel(comps.back().first, comps.back().second);
+      }
+      for (auto& [comp, id] : comps) dissect(std::move(comp), id, roots);
+      return;
+    }
+    bfs(order_.back(), rid);  // From the farthest vertex: a pseudo-peripheral root.
+    const std::size_t nlev = lvl_.size() - 1;
+    if (nlev <= 2) {  // No level separates anything: one dense front.
+      roots.push_back(emit(verts));
+      return;
+    }
+    // Separator level: where the cumulative weight passes half, kept off the
+    // first and last level so both sides are non-empty.
+    std::size_t sep = 0;
+    for (std::int64_t cum = 0; sep < nlev; ++sep) {
+      for (std::size_t i = lvl_[sep]; i < lvl_[sep + 1]; ++i) cum += weight_[ix(order_[i])];
+      if (2 * cum >= total) break;
+    }
+    sep = std::clamp<std::size_t>(sep, 1, nlev - 2);
+    const std::int32_t beyond = --stamp_;
+    for (std::size_t i = lvl_[sep + 1]; i < order_.size(); ++i) region_[ix(order_[i])] = beyond;
+    std::vector<std::int32_t> lo(order_.begin(), order_.begin() + lvl_[sep]);
+    std::vector<std::int32_t> hi(order_.begin() + lvl_[sep + 1], order_.end());
+    std::vector<std::int32_t> separator;
+    std::int64_t sep_weight = 0;
+    for (std::size_t i = lvl_[sep]; i < lvl_[sep + 1]; ++i) {
+      const std::int32_t v = order_[i];
+      const auto& nb = adj_[ix(v)];
+      if (std::none_of(nb.begin(), nb.end(),
+                       [&](std::int32_t u) { return region_[ix(u)] == beyond; })) {
+        lo.push_back(v);  // Thinning: no neighbour beyond, so it separates nothing.
+        continue;
+      }
+      separator.push_back(v);
+      sep_weight += weight_[ix(v)];
+    }
+    if (sep_weight > max_sep_) {
+      ok_ = false;
+      return;
+    }
+    relabel(separator, 1);  // Placed: no region id is positive.
+    const std::int32_t lo_id = --stamp_, hi_id = --stamp_;
+    relabel(lo, lo_id);
+    relabel(hi, hi_id);
+    std::vector<std::int32_t> kids;
+    dissect(std::move(lo), lo_id, kids);
+    dissect(std::move(hi), hi_id, kids);
+    if (!ok_) return;
+    const std::int32_t node = emit(separator);
+    for (const std::int32_t k : kids) parent[ix(k)] = node;
+    roots.push_back(node);
+  }
+
+  const Graph& adj_;
+  const std::vector<std::int32_t>& weight_;
+  std::vector<std::int32_t> region_;  ///< Region id per vertex (ids count down from 0).
+  std::vector<std::int32_t> order_;
+  std::vector<std::size_t> lvl_;
+  std::int32_t stamp_ = 0;
+  std::int64_t max_sep_;
+  bool ok_ = true;
+};
+
+// Nested-dissection front tree of A's symmetric pattern, or an empty tree
+// when some separator is larger than `max_sep` unknowns (the pattern is not
+// grid-like) or a zero-diagonal unknown finds no pivot partner; the caller
+// then keeps its other kernels.
+Symbolic::FrontTree front_tree(const CscMatrix& a, const Graph& adj, std::int64_t max_sep) {
+  const std::size_t n = a.n;
+  // Supervariable graph over the pivot groups.
+  const std::vector<std::int32_t> group = pivot_groups(a, adj);
+  if (group.empty()) return {};
+  std::vector<std::int32_t> sv_of(n, -1), weight;
+  Graph members;
+  for (std::size_t v = 0; v < n; ++v) {
+    std::int32_t& g = sv_of[ix(group[v])];
+    if (g < 0) {
+      g = static_cast<std::int32_t>(members.size());
+      members.emplace_back();
+      weight.push_back(0);
+    }
+    sv_of[v] = g;
+    members[ix(g)].push_back(static_cast<std::int32_t>(v));
+    ++weight[ix(g)];
+  }
+  Graph sadj(members.size());
+  for (std::size_t s = 0; s < members.size(); ++s) {
+    for (const std::int32_t v : members[s])
+      for (const std::int32_t u : adj[ix(v)])
+        if (ix(sv_of[ix(u)]) != s) sadj[s].push_back(sv_of[ix(u)]);
+    std::sort(sadj[s].begin(), sadj[s].end());
+    sadj[s].erase(std::unique(sadj[s].begin(), sadj[s].end()), sadj[s].end());
+  }
+  Dissection nd(sadj, weight, max_sep);
+  if (!nd.run()) return {};
+
+  // Fronts are the dissection's tree nodes, each eliminating its
+  // supervariables' unknowns contiguously.
+  Symbolic::FrontTree ft;
+  const std::size_t nf = nd.parent.size();
+  ft.var_ptr.assign(1, 0);
+  for (std::size_t f = 0; f < nf; ++f) {
+    for (std::size_t i = nd.node_ptr[f]; i < nd.node_ptr[f + 1]; ++i)
+      for (const std::int32_t v : members[ix(nd.node_v[i])]) ft.vars.push_back(v);
+    ft.var_ptr.push_back(ft.vars.size());
+  }
+  std::vector<std::size_t> step(n);
+  std::vector<std::int32_t> front_of(n);
+  for (std::size_t f = 0; f < nf; ++f)
+    for (std::size_t i = ft.var_ptr[f]; i < ft.var_ptr[f + 1]; ++i) {
+      step[ix(ft.vars[i])] = i;
+      front_of[ix(ft.vars[i])] = static_cast<std::int32_t>(f);
+    }
+
+  // Boundary of front f: the A-neighbours of its pivots and its children's
+  // boundaries, whichever are eliminated after f, in elimination order.
+  Graph kids(nf);
+  for (std::size_t f = 0; f < nf; ++f)
+    if (nd.parent[f] >= 0) kids[ix(nd.parent[f])].push_back(static_cast<std::int32_t>(f));
+  ft.nchild.resize(nf);
+  ft.bnd_ptr.assign(1, 0);
+  std::vector<std::size_t> mark(n, nf);
+  std::vector<std::int32_t> bnd;
+  for (std::size_t f = 0; f < nf; ++f) {
+    ft.nchild[f] = static_cast<std::int32_t>(kids[f].size());
+    bnd.clear();
+    const auto add = [&](std::int32_t u) {
+      if (step[ix(u)] >= ft.var_ptr[f + 1] && mark[ix(u)] != f) {
+        mark[ix(u)] = f;
+        bnd.push_back(u);
+      }
+    };
+    for (std::size_t i = ft.var_ptr[f]; i < ft.var_ptr[f + 1]; ++i)
+      for (const std::int32_t u : adj[ix(ft.vars[i])]) add(u);
+    for (const std::int32_t c : kids[f])
+      for (std::size_t i = ft.bnd_ptr[ix(c)]; i < ft.bnd_ptr[ix(c) + 1]; ++i) add(ft.bnd[i]);
+    std::sort(bnd.begin(), bnd.end(),
+              [&](std::int32_t x, std::int32_t y) { return step[ix(x)] < step[ix(y)]; });
+    ft.bnd.insert(ft.bnd.end(), bnd.begin(), bnd.end());
+    ft.bnd_ptr.push_back(ft.bnd.size());
+  }
+
+  // Front-local positions: pivots first, then the boundary. A child's
+  // boundary lies inside its parent's front (a dissection subtree touches
+  // only its ancestors' separators), so extend-add is a scatter.
+  std::vector<std::int32_t> local(n, -1);
+  const auto place = [&](std::size_t f) {
+    std::int32_t pos = 0;
+    for (std::size_t i = ft.var_ptr[f]; i < ft.var_ptr[f + 1]; ++i) local[ix(ft.vars[i])] = pos++;
+    for (std::size_t i = ft.bnd_ptr[f]; i < ft.bnd_ptr[f + 1]; ++i) local[ix(ft.bnd[i])] = pos++;
+    return static_cast<std::size_t>(pos);
+  };
+  ft.bnd_in_parent.assign(ft.bnd.size(), -1);
+  ft.lu_off.assign(1, 0);
+  std::vector<std::size_t> cb_size(nf);
+  std::size_t stack = 0;
+  for (std::size_t f = 0; f < nf; ++f) {
+    const std::size_t m = place(f);
+    const std::size_t k = ft.var_ptr[f + 1] - ft.var_ptr[f], b = m - k;
+    for (const std::int32_t c : kids[f]) {
+      for (std::size_t i = ft.bnd_ptr[ix(c)]; i < ft.bnd_ptr[ix(c) + 1]; ++i)
+        ft.bnd_in_parent[i] = local[ix(ft.bnd[i])];
+      stack -= cb_size[ix(c)];
+    }
+    cb_size[f] = b * b;
+    stack += cb_size[f];
+    ft.max_stack = std::max(ft.max_stack, stack);
+    ft.max_front = std::max(ft.max_front, m);
+    ft.lu_off.push_back(ft.lu_off.back() + m * k + k * b);
+  }
+  // Front offsets are int32 (asm_dst): a front this large is not grid-like.
+  if (ft.max_front > 46340) return {};
+
+  // Assembly map: entry (r, c) belongs to the front that eliminates the
+  // earlier of r and c; the other is a pivot or boundary of that front.
+  std::vector<std::int32_t> owner(a.nnz());
+  ft.asm_ptr.assign(nf + 1, 0);
+  for (std::size_t c = 0; c < n; ++c)
+    for (std::int32_t p = a.col_ptr[c]; p < a.col_ptr[c + 1]; ++p) {
+      const std::size_t r = ix(a.row_ind[ix(p)]);
+      owner[ix(p)] = front_of[step[r] < step[c] ? r : c];
+      ++ft.asm_ptr[ix(owner[ix(p)]) + 1];
+    }
+  for (std::size_t f = 0; f < nf; ++f) ft.asm_ptr[f + 1] += ft.asm_ptr[f];
+  ft.asm_src.resize(a.nnz());
+  ft.asm_dst.resize(a.nnz());
+  std::vector<std::size_t> next(ft.asm_ptr.begin(), ft.asm_ptr.end() - 1);
+  std::vector<std::int32_t> col_of(a.nnz());
+  for (std::size_t c = 0; c < n; ++c)
+    for (std::int32_t p = a.col_ptr[c]; p < a.col_ptr[c + 1]; ++p) {
+      ft.asm_src[next[ix(owner[ix(p)])]++] = p;
+      col_of[ix(p)] = static_cast<std::int32_t>(c);
+    }
+  for (std::size_t f = 0; f < nf; ++f) {
+    const auto m = static_cast<std::int32_t>(place(f));
+    for (std::size_t e = ft.asm_ptr[f]; e < ft.asm_ptr[f + 1]; ++e) {
+      const std::size_t p = ix(ft.asm_src[e]);
+      ft.asm_dst[e] = local[ix(a.row_ind[p])] + local[ix(col_of[p])] * m;
+    }
+  }
+  return ft;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -261,6 +603,12 @@ std::vector<std::int32_t> min_degree_order(std::vector<std::vector<std::int32_t>
 
 std::shared_ptr<const Symbolic> analyze(const CscMatrix& a, Kernel request) {
   require(a.n > 0, "sparse::analyze: empty system");
+  if (request == Kernel::Dense && a.n > kMaxDenseUnknowns)
+    throw InvalidParameter("kernel: 'dense' refuses n=" + std::to_string(a.n) +
+                           " unknowns; its matrix alone would take " +
+                           std::to_string(a.n * a.n * sizeof(double)) + " bytes (limit n=" +
+                           std::to_string(kMaxDenseUnknowns) +
+                           "); use 'auto', 'banded' or 'sparse'");
   auto sym = std::make_shared<Symbolic>();
   sym->n = a.n;
   sym->nnz = a.nnz();
@@ -269,7 +617,7 @@ std::shared_ptr<const Symbolic> analyze(const CscMatrix& a, Kernel request) {
   const double density =
       static_cast<double>(a.nnz()) / (static_cast<double>(a.n) * static_cast<double>(a.n));
   Kernel k = request;
-  if (k == Kernel::Auto && (a.n <= 48 || density >= 0.25)) {
+  if (k == Kernel::Auto && (a.n <= 48 || (density >= 0.25 && a.n <= kMaxDenseUnknowns))) {
     // Small or genuinely dense systems: dense LU's constant factors win, and
     // the legacy byte-exact dense path is preserved for the converter-scale
     // circuits every existing test and bench pins down.
@@ -285,13 +633,30 @@ std::shared_ptr<const Symbolic> analyze(const CscMatrix& a, Kernel request) {
   const int bw = bandwidth_under(a, rcm);
   sym->rcm_bandwidth = bw;
 
-  if (k == Kernel::Auto)
-    k = bw <= std::max<int>(8, static_cast<int>(a.n / 8)) ? Kernel::Banded : Kernel::Sparse;
+  // Nested dissection is tried only on narrow bands (grids, ladders), the
+  // patterns `auto` would otherwise band; wide ones (irregular netlists)
+  // keep minimum degree. RCM numbers BFS levels consecutively, so its
+  // bandwidth is under twice the widest level: above twice the separator
+  // bound some level is wider than the bound, and dissection is not tried.
+  const bool narrow = bw <= std::max<int>(8, static_cast<int>(a.n / 8));
+  Symbolic::FrontTree fronts;
+  const std::int64_t max_sep = max_separator(a.n);
+  if (k != Kernel::Banded && narrow && bw <= 2 * max_sep) fronts = front_tree(a, adj, max_sep);
+  if (k == Kernel::Auto) {
+    // Banded for narrow bands unless the front tree stores at most a third
+    // of the band's entries (ldab = 3 bw + 1 per column): 24 x 24 grids and
+    // up cross over, 16 x 16 grids (0.40) and ladders stay banded.
+    const std::size_t band = a.n * (3 * static_cast<std::size_t>(bw) + 1);
+    k = narrow && !(fronts.size() > 0 && 3 * fronts.factor_nnz() <= band) ? Kernel::Banded
+                                                                          : Kernel::Sparse;
+  }
 
   sym->kernel = k;
   if (k == Kernel::Banded) {
     sym->perm = rcm;
     sym->kl = sym->ku = bw;
+  } else if (fronts.size() > 0) {
+    sym->fronts = std::move(fronts);
   } else {
     // Fill-reducing column order; RCM fallback when the fill-graph merge
     // exceeds its storage budget (profile fill is then the bound anyway).
@@ -588,6 +953,165 @@ void SparseLu::solve_into(const std::vector<double>& b, std::vector<double>& x) 
 }
 
 // ---------------------------------------------------------------------------
+// Multifrontal LU over the nested-dissection front tree
+// ---------------------------------------------------------------------------
+
+MultifrontalLu::MultifrontalLu(const CscMatrix& a, const Symbolic& sym)
+    : lu_(sym.fronts.factor_nnz()), prow_(a.n) {
+  const Symbolic::FrontTree& ft = sym.fronts;
+  require(ft.vars.size() == a.n, "MultifrontalLu: front tree size mismatch");
+  std::vector<double> front(ft.max_front * ft.max_front);
+  std::vector<double> stack(ft.max_stack);
+  // Schur complements awaiting their parent front: a child's block sits on
+  // the stack until the parent assembles, so a front's children are the
+  // top nchild entries, in child order.
+  std::vector<std::size_t> cb_front, cb_off;
+  std::size_t top = 0;
+  for (std::size_t f = 0; f < ft.size(); ++f) {
+    const std::int32_t* vars = ft.vars.data() + ft.var_ptr[f];
+    const std::size_t k = ft.var_ptr[f + 1] - ft.var_ptr[f];
+    const std::size_t b = ft.bnd_ptr[f + 1] - ft.bnd_ptr[f];
+    const std::size_t m = k + b;
+    double* F = front.data();  // Column-major m x m frontal matrix.
+    std::fill(F, F + m * m, 0.0);
+    for (std::size_t e = ft.asm_ptr[f]; e < ft.asm_ptr[f + 1]; ++e)
+      F[ft.asm_dst[e]] += a.val[ix(ft.asm_src[e])];
+    const std::size_t first = cb_front.size() - ix(ft.nchild[f]);
+    for (std::size_t i = first; i < cb_front.size(); ++i) {  // Extend-add.
+      const std::size_t c = cb_front[i];
+      const std::size_t bc = ft.bnd_ptr[c + 1] - ft.bnd_ptr[c];
+      const std::int32_t* rel = ft.bnd_in_parent.data() + ft.bnd_ptr[c];
+      const double* cb = stack.data() + cb_off[i];
+      for (std::size_t jj = 0; jj < bc; ++jj) {
+        double* dst = F + ix(rel[jj]) * m;
+        for (std::size_t ii = 0; ii < bc; ++ii) dst[rel[ii]] += cb[jj * bc + ii];
+      }
+    }
+    if (first < cb_front.size()) top = cb_off[first];
+    cb_front.resize(first);
+    cb_off.resize(first);
+
+    // Partial LU of the first k columns. Rows swap only among the k
+    // fully-summed rows, so the boundary keeps its order for the parent.
+    std::int32_t* pr = prow_.data() + ft.var_ptr[f];
+    for (std::size_t i = 0; i < k; ++i) pr[i] = static_cast<std::int32_t>(i);
+    for (std::size_t j = 0; j < k; ++j) {
+      double* colj = F + j * m;
+      std::size_t p = k;
+      double best = 0.0;
+      for (std::size_t i = j; i < k; ++i)
+        if (std::fabs(colj[i]) > best) {
+          best = std::fabs(colj[i]);
+          p = i;
+        }
+      // Diagonal preference, as in SparseLu: the unknown's own equation
+      // keeps the pivot within 1e-3 of the best.
+      std::size_t d = j;
+      while (d < k && ix(pr[d]) != j) ++d;
+      if (d < k && std::fabs(colj[d]) >= 1e-3 * best) p = d;
+      // Negated comparison: a NaN column is reported, not solved through.
+      if (p == k || !(std::fabs(colj[p]) >= 1e-300))
+        throw SingularMatrixError(
+            "MultifrontalLu: singular or non-finite matrix (n=" + std::to_string(a.n) +
+                ", pivot column " + std::to_string(vars[j]) + ")",
+            a.n, ix(vars[j]));
+      if (p != j) {
+        for (std::size_t c = 0; c < m; ++c) std::swap(F[c * m + j], F[c * m + p]);
+        std::swap(pr[j], pr[p]);
+      }
+      const double pivot = colj[j];
+      for (std::size_t i = j + 1; i < m; ++i) colj[i] /= pivot;
+      for (std::size_t c = j + 1; c < m; ++c) {
+        double* cc = F + c * m;
+        const double g = cc[j];
+        if (g == 0.0) continue;
+        // Stride-1 AXPY over the column: SIMD-amenable.
+        for (std::size_t i = j + 1; i < m; ++i) cc[i] -= colj[i] * g;
+      }
+    }
+
+    // Keep L11\U11 over L21 and U12; push the Schur complement.
+    double* out = lu_.data() + ft.lu_off[f];
+    std::memcpy(out, F, m * k * sizeof(double));
+    for (std::size_t c = 0; c < b; ++c) {
+      std::memcpy(out + m * k + c * k, F + (k + c) * m, k * sizeof(double));
+      std::memcpy(stack.data() + top + c * b, F + (k + c) * m + k, b * sizeof(double));
+    }
+    cb_front.push_back(f);
+    cb_off.push_back(top);
+    top += b * b;
+  }
+}
+
+void MultifrontalLu::solve_into(const Symbolic& sym, const std::vector<double>& b,
+                                std::vector<double>& x) const {
+  const Symbolic::FrontTree& ft = sym.fronts;
+  const std::size_t n = prow_.size();
+  require(b.size() == n, "MultifrontalLu::solve_into: dimension mismatch");
+  require(&b != &x, "MultifrontalLu::solve_into: b and x must not alias");
+  const double injected = fault::inject("lu_solve");
+  w_.assign(b.begin(), b.end());
+  if (n > 0) w_[0] += injected;
+  y_.resize(ft.max_front);
+  t_.resize(ft.max_front);
+  double* y = y_.data();
+  double* t = t_.data();
+
+  // Forward, children first: each front's permuted pivot rows through
+  // unit-lower L11, then L21 updates its boundary rows.
+  for (std::size_t f = 0; f < ft.size(); ++f) {
+    const std::int32_t* vars = ft.vars.data() + ft.var_ptr[f];
+    const std::int32_t* bnd = ft.bnd.data() + ft.bnd_ptr[f];
+    const std::int32_t* pr = prow_.data() + ft.var_ptr[f];
+    const std::size_t k = ft.var_ptr[f + 1] - ft.var_ptr[f];
+    const std::size_t nb = ft.bnd_ptr[f + 1] - ft.bnd_ptr[f];
+    const std::size_t m = k + nb;
+    const double* L = lu_.data() + ft.lu_off[f];
+    for (std::size_t i = 0; i < k; ++i) y[i] = w_[ix(vars[ix(pr[i])])];
+    std::fill(t, t + nb, 0.0);
+    for (std::size_t j = 0; j < k; ++j) {
+      const double yj = y[j];
+      if (yj == 0.0) continue;
+      const double* col = L + j * m;
+      for (std::size_t i = j + 1; i < k; ++i) y[i] -= col[i] * yj;
+      for (std::size_t r = 0; r < nb; ++r) t[r] += col[k + r] * yj;
+    }
+    for (std::size_t i = 0; i < k; ++i) w_[ix(vars[i])] = y[i];
+    for (std::size_t r = 0; r < nb; ++r) w_[ix(bnd[r])] -= t[r];
+  }
+  // Backward, parents first: U12 against the solved boundary, then U11.
+  for (std::size_t f = ft.size(); f-- > 0;) {
+    const std::int32_t* vars = ft.vars.data() + ft.var_ptr[f];
+    const std::int32_t* bnd = ft.bnd.data() + ft.bnd_ptr[f];
+    const std::size_t k = ft.var_ptr[f + 1] - ft.var_ptr[f];
+    const std::size_t nb = ft.bnd_ptr[f + 1] - ft.bnd_ptr[f];
+    const std::size_t m = k + nb;
+    const double* U = lu_.data() + ft.lu_off[f];
+    for (std::size_t i = 0; i < k; ++i) y[i] = w_[ix(vars[i])];
+    for (std::size_t c = 0; c < nb; ++c) {
+      const double xc = w_[ix(bnd[c])];
+      if (xc == 0.0) continue;
+      const double* col = U + m * k + c * k;
+      for (std::size_t i = 0; i < k; ++i) y[i] -= col[i] * xc;
+    }
+    for (std::size_t j = k; j-- > 0;) {
+      const double* col = U + j * m;
+      const double xj = y[j] / col[j];
+      y[j] = xj;
+      if (xj == 0.0) continue;
+      for (std::size_t i = 0; i < j; ++i) y[i] -= col[i] * xj;
+    }
+    for (std::size_t i = 0; i < k; ++i) w_[ix(vars[i])] = y[i];
+  }
+
+  x.assign(w_.begin(), w_.end());
+  for (std::size_t i = 0; i < n; ++i)
+    if (!std::isfinite(x[i]))
+      throw NonFiniteError("MultifrontalLu::solve: non-finite solution component " +
+                           std::to_string(i) + " (ill-conditioned or non-finite system)");
+}
+
+// ---------------------------------------------------------------------------
 // Kernel dispatch
 // ---------------------------------------------------------------------------
 
@@ -613,7 +1137,10 @@ MnaFactorization::MnaFactorization(const CscMatrix& a, std::shared_ptr<const Sym
       banded_.emplace(a, sym_->perm, sym_->kl, sym_->ku);
       break;
     case Kernel::Sparse:
-      sparse_.emplace(a, sym_->colperm);
+      if (sym_->multifrontal())
+        multifrontal_.emplace(a, *sym_);
+      else
+        sparse_.emplace(a, sym_->colperm);
       break;
   }
 }
@@ -621,12 +1148,14 @@ MnaFactorization::MnaFactorization(const CscMatrix& a, std::shared_ptr<const Sym
 void MnaFactorization::solve_into(const std::vector<double>& b, std::vector<double>& x) const {
   if (dense_) dense_->solve_into(b, x);
   else if (banded_) banded_->solve_into(b, x);
+  else if (multifrontal_) multifrontal_->solve_into(*sym_, b, x);
   else sparse_->solve_into(b, x);
 }
 
 std::size_t MnaFactorization::factor_nnz() const {
   if (dense_) return sym_->n * sym_->n;
   if (banded_) return banded_->factor_nnz();
+  if (multifrontal_) return multifrontal_->factor_nnz();
   return sparse_->factor_nnz();
 }
 

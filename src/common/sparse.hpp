@@ -18,16 +18,21 @@
 //    byte for byte).
 //  - analyze(): one-time structural analysis per sparsity pattern — kernel
 //    selection (density/bandwidth heuristic with an explicit override),
-//    reverse-Cuthill-McKee ordering for the banded kernel, minimum-degree
-//    ordering for the general sparse kernel. The returned Symbolic is
-//    immutable and shared (shared_ptr) across every numeric factorization
-//    with the same pattern, so a switch-state change refactorizes
-//    numerically without re-running symbolic analysis.
+//    reverse-Cuthill-McKee ordering for the banded kernel, and for the
+//    general sparse kernel either a nested-dissection front tree (grid-like
+//    patterns) or a minimum-degree column order (everything else). The
+//    returned Symbolic is immutable and shared (shared_ptr) across every
+//    numeric factorization with the same pattern, so a switch-state change
+//    refactorizes numerically without re-running symbolic analysis.
 //  - BandedLu: LAPACK-style band-storage LU with partial pivoting
 //    (dgbtf2/dgbtrs shape). Inner elimination and substitution loops run
 //    over contiguous band columns — stride-1, SIMD-amenable.
+//  - MultifrontalLu: the sparse kernel on grid-like patterns — one dense
+//    frontal matrix per nested-dissection front, partial pivoting over the
+//    front's fully-summed rows, Schur complements passed up the tree.
 //  - SparseLu: left-looking Gilbert-Peierls LU with partial pivoting and
-//    diagonal preference, over a fill-reducing column order.
+//    diagonal preference, over a fill-reducing column order (the sparse
+//    kernel where nested dissection finds no small separators).
 //  - MnaFactorization: the kernel-dispatching factorization the transient
 //    LU cache stores; `solve_into` matches LuFactorization's contract.
 #pragma once
@@ -116,14 +121,49 @@ struct Symbolic {
   std::vector<std::int32_t> perm;
   int kl = 0, ku = 0;
 
-  /// Sparse kernel: fill-reducing column order (colperm[k] = original
-  /// column eliminated at step k).
+  /// Sparse kernel, Gilbert-Peierls path: fill-reducing column order
+  /// (colperm[k] = original column eliminated at step k). Empty when the
+  /// sparse kernel runs multifrontal.
   std::vector<std::int32_t> colperm;
+
+  /// Sparse kernel, multifrontal path: the nested-dissection front tree.
+  /// Fronts are numbered in postorder (children before parents); front f
+  /// eliminates its `vars` in order, and its `bnd` are the later-eliminated
+  /// unknowns its Schur complement updates (sorted by elimination step).
+  struct FrontTree {
+    /// Pivots of front f: vars[var_ptr[f] .. var_ptr[f+1]), k of them.
+    std::vector<std::size_t> var_ptr;
+    std::vector<std::int32_t> vars;
+    /// Boundary of front f: bnd[bnd_ptr[f] .. bnd_ptr[f+1]), b of them.
+    std::vector<std::size_t> bnd_ptr;
+    std::vector<std::int32_t> bnd;
+    std::vector<std::int32_t> bnd_in_parent;  ///< Parallel to bnd: index in the parent front.
+    std::vector<std::int32_t> nchild;         ///< Children of f (they precede it).
+    /// A's entries scattered into front f: entries asm_ptr[f] .. asm_ptr[f+1]
+    /// map csc index asm_src[e] to column-major offset asm_dst[e] in f's
+    /// (k + b) x (k + b) frontal matrix.
+    std::vector<std::size_t> asm_ptr;
+    std::vector<std::int32_t> asm_src, asm_dst;
+    std::vector<std::size_t> lu_off;  ///< Factor storage offset of front f.
+    std::size_t max_front = 0;        ///< Largest k + b.
+    std::size_t max_stack = 0;        ///< Peak of the pending Schur complements.
+
+    std::size_t size() const { return nchild.size(); }
+    /// Stored factor entries: k^2 + 2kb per front.
+    std::size_t factor_nnz() const { return lu_off.empty() ? 0 : lu_off.back(); }
+  };
+  FrontTree fronts;
 
   /// RCM bandwidth observed during selection (0 when the dense shortcut
   /// skipped the ordering work).
   int rcm_bandwidth = 0;
+
+  bool multifrontal() const { return fronts.size() > 0; }
 };
+
+/// Largest system the dense kernel accepts: a forced `dense` request above
+/// it is refused before anything is allocated (4096^2 doubles = 128 MiB).
+inline constexpr std::size_t kMaxDenseUnknowns = 4096;
 
 /// One-time structural analysis. `request` = Kernel::Auto applies the
 /// density/bandwidth heuristic; any other value forces that kernel.
@@ -131,7 +171,14 @@ struct Symbolic {
 /// Heuristic: dense for small or dense systems (n <= 48 or density >= 25%,
 /// where dense LU's constant factors win and the legacy byte-exact path is
 /// preserved); banded when the RCM bandwidth b satisfies b <= max(8, n/8)
-/// (covers PDN ladders and regular grids); general sparse otherwise.
+/// (covers PDN ladders and regular grids) unless the nested-dissection front
+/// tree stores at most a third of the band's entries (large grids), then sparse;
+/// general sparse otherwise. The sparse kernel runs multifrontal on those
+/// narrow bands when nested dissection keeps every separator small and every
+/// zero-diagonal unknown finds a pivot partner, and Gilbert-Peierls
+/// otherwise (every wide pattern, irregular netlists included).
+///
+/// Throws InvalidParameter when `dense` is forced above kMaxDenseUnknowns.
 std::shared_ptr<const Symbolic> analyze(const CscMatrix& a, Kernel request);
 
 /// Band-storage LU with partial pivoting on the symmetrically permuted
@@ -184,8 +231,31 @@ class SparseLu {
   mutable std::vector<double> y_;      ///< Solve scratch.
 };
 
-/// Kernel-dispatching factorization: dense LuFactorization, BandedLu, or
-/// SparseLu per the shared Symbolic. This is what the transient keyed LU
+/// Multifrontal LU over a nested-dissection front tree. Each front's
+/// frontal matrix is assembled from A and its children's Schur complements;
+/// its fully-summed block is factored with partial pivoting over the
+/// fully-summed rows (diagonal preference as in SparseLu). The solve walks
+/// the fronts with dense triangular blocks.
+class MultifrontalLu {
+ public:
+  MultifrontalLu(const CscMatrix& a, const Symbolic& sym);
+
+  /// `sym` must be the Symbolic this factor was built from.
+  void solve_into(const Symbolic& sym, const std::vector<double>& b,
+                  std::vector<double>& x) const;
+
+  std::size_t factor_nnz() const { return lu_.size(); }
+
+ private:
+  /// Per front: its first k columns (L11\U11 over L21, column-major, ld
+  /// k + b) followed by U12 (k x b, column-major).
+  std::vector<double> lu_;
+  std::vector<std::int32_t> prow_;  ///< Per pivot: front-local row it came from.
+  mutable std::vector<double> w_, y_, t_;  ///< Solve scratch.
+};
+
+/// Kernel-dispatching factorization: dense LuFactorization, BandedLu,
+/// MultifrontalLu or SparseLu per the shared Symbolic. This is what the transient keyed LU
 /// cache stores; `solve_into` has the same contract as LuFactorization's.
 class MnaFactorization {
  public:
@@ -207,6 +277,7 @@ class MnaFactorization {
   std::shared_ptr<const Symbolic> sym_;
   std::optional<LuFactorization<double>> dense_;
   std::optional<BandedLu> banded_;
+  std::optional<MultifrontalLu> multifrontal_;
   std::optional<SparseLu> sparse_;
 };
 

@@ -119,47 +119,63 @@ bool switch_closed(const Switch& s, double t, bool vgate) {
 // DC operating point
 // ---------------------------------------------------------------------------
 
-DcResult dc_operating_point(const Circuit& c, sparse::Kernel kernel) {
-  const int nv = c.node_count() - 1;
+namespace {
+
+// Stamps the DC system at the given switch states: capacitors open,
+// inductors shorted, sources at t = 0.
+void stamp_dc(const Circuit& c, const std::vector<bool>& sw_closed, sparse::SparseStamp& stamp,
+              std::vector<double>& rhs) {
+  stamp.reset();
+  rhs.assign(static_cast<std::size_t>(c.mna_size()), 0.0);
+  for (const Resistor& r : c.resistors()) stamp_conductance(stamp, r.a, r.b, 1.0 / r.ohms);
+  for (std::size_t k = 0; k < c.switches().size(); ++k) {
+    const Switch& s = c.switches()[k];
+    stamp_conductance(stamp, s.a, s.b, 1.0 / switch_resistance(s, sw_closed[k]));
+  }
+  for (std::size_t k = 0; k < c.vsources().size(); ++k) {
+    const VSource& v = c.vsources()[k];
+    const int m = c.vsource_current_index(static_cast<int>(k));
+    stamp_branch_kcl(stamp, v.pos, v.neg, m, 1.0);
+    rhs[static_cast<std::size_t>(m)] = v.wave(0.0);
+  }
+  for (std::size_t k = 0; k < c.inductors().size(); ++k) {
+    const Inductor& l = c.inductors()[k];
+    const int m = c.inductor_current_index(static_cast<int>(k));
+    stamp_branch_kcl(stamp, l.a, l.b, m, 1.0);  // Branch row: v_a - v_b = 0 (short).
+  }
+  for (const ISource& i : c.isources()) stamp_current(rhs, i.neg, i.pos, i.wave(0.0));
+}
+
+// Switch states at t = 0 with every voltage gate open: where the operating
+// point's fixed-point iteration starts.
+std::vector<bool> initial_switch_states(const Circuit& c) {
+  std::vector<bool> sw_closed(c.switches().size(), false);
+  for (std::size_t k = 0; k < c.switches().size(); ++k)
+    sw_closed[k] = switch_closed(c.switches()[k], 0.0, false);
+  return sw_closed;
+}
+
+// The operating point solve behind dc_operating_point; also hands back the
+// structural analysis it used, which the transient stepping loop reuses when
+// its matrix has the same pattern.
+DcResult solve_operating_point(const Circuit& c, sparse::Kernel kernel,
+                               std::shared_ptr<const sparse::Symbolic>& sym) {
   const int size = c.mna_size();
   require(size > 0, "dc_operating_point: empty circuit");
 
   std::vector<bool> vgate(c.switches().size(), false);
-  std::vector<bool> sw_closed(c.switches().size(), false);
-  for (std::size_t k = 0; k < c.switches().size(); ++k)
-    sw_closed[k] = switch_closed(c.switches()[k], 0.0, vgate[k]);
+  std::vector<bool> sw_closed = initial_switch_states(c);
 
   // Sparse stamp + structural analysis shared across the fixed-point
   // iterations: switch-state changes move values, never positions.
   sparse::SparseStamp stamp(static_cast<std::size_t>(size));
   sparse::CscMatrix csc;
-  std::shared_ptr<const sparse::Symbolic> sym;
+  sym.reset();
 
-  std::vector<double> x;
+  std::vector<double> x, rhs;
   // Fixed-point iteration over voltage-controlled switch states.
   for (int iter = 0;; ++iter) {
-    stamp.reset();
-    std::vector<double> rhs(static_cast<std::size_t>(size), 0.0);
-
-    for (const Resistor& r : c.resistors()) stamp_conductance(stamp, r.a, r.b, 1.0 / r.ohms);
-    for (std::size_t k = 0; k < c.switches().size(); ++k) {
-      const Switch& s = c.switches()[k];
-      stamp_conductance(stamp, s.a, s.b, 1.0 / switch_resistance(s, sw_closed[k]));
-    }
-    // Capacitors: open in DC.
-    for (std::size_t k = 0; k < c.vsources().size(); ++k) {
-      const VSource& v = c.vsources()[k];
-      const int m = c.vsource_current_index(static_cast<int>(k));
-      stamp_branch_kcl(stamp, v.pos, v.neg, m, 1.0);
-      rhs[static_cast<std::size_t>(m)] = v.wave(0.0);
-    }
-    for (std::size_t k = 0; k < c.inductors().size(); ++k) {
-      const Inductor& l = c.inductors()[k];
-      const int m = c.inductor_current_index(static_cast<int>(k));
-      stamp_branch_kcl(stamp, l.a, l.b, m, 1.0);  // Branch row: v_a - v_b = 0 (short).
-    }
-    for (const ISource& i : c.isources()) stamp_current(rhs, i.neg, i.pos, i.wave(0.0));
-
+    stamp_dc(c, sw_closed, stamp, rhs);
     sparse::compress(stamp, csc);
     if (!sym) sym = sparse::analyze(csc, kernel);
     try {
@@ -195,12 +211,28 @@ DcResult dc_operating_point(const Circuit& c, sparse::Kernel kernel) {
       for (std::size_t k = 0; k < c.inductors().size(); ++k)
         res.inductor_i.push_back(
             x[static_cast<std::size_t>(c.inductor_current_index(static_cast<int>(k)))]);
-      (void)nv;
       return res;
     }
     if (iter >= 64)
       throw NumericalError("dc_operating_point: voltage-controlled switches did not settle");
   }
+}
+
+}  // namespace
+
+DcResult dc_operating_point(const Circuit& c, sparse::Kernel kernel) {
+  std::shared_ptr<const sparse::Symbolic> sym;
+  return solve_operating_point(c, kernel, sym);
+}
+
+sparse::CscMatrix dc_matrix(const Circuit& c) {
+  require(c.mna_size() > 0, "dc_matrix: empty circuit");
+  sparse::SparseStamp stamp(static_cast<std::size_t>(c.mna_size()));
+  std::vector<double> rhs;
+  stamp_dc(c, initial_switch_states(c), stamp, rhs);
+  sparse::CscMatrix csc;
+  sparse::compress(stamp, csc);
+  return csc;
 }
 
 // ---------------------------------------------------------------------------
@@ -227,22 +259,22 @@ struct TranState {
 
 // Initial conditions: DC operating point by default, or a consistent solve
 // honouring explicit ICs (caps as fixed voltage sources, inductors as fixed
-// current sources) for UIC runs.
-TranState initial_state(const Circuit& c, bool use_ic) {
+// current sources) for UIC runs. Both solve with the run's kernel, and
+// `dc_sym` receives the operating point's structural analysis (null for UIC
+// runs).
+TranState initial_state(const Circuit& c, bool use_ic, sparse::Kernel kernel,
+                        std::shared_ptr<const sparse::Symbolic>& dc_sym) {
   TranState st;
   st.node_v.assign(static_cast<std::size_t>(c.node_count()), 0.0);
   st.cap_vab.assign(c.capacitors().size(), 0.0);
   st.cap_i.assign(c.capacitors().size(), 0.0);
   st.ind_j.assign(c.inductors().size(), 0.0);
   st.ind_vab.assign(c.inductors().size(), 0.0);
-  st.sw_closed.assign(c.switches().size(), false);
+  st.sw_closed = initial_switch_states(c);
   st.sw_vgate.assign(c.switches().size(), false);
 
-  for (std::size_t k = 0; k < c.switches().size(); ++k)
-    st.sw_closed[k] = switch_closed(c.switches()[k], 0.0, false);
-
   if (!use_ic) {
-    const DcResult op = dc_operating_point(c);
+    const DcResult op = solve_operating_point(c, kernel, dc_sym);
     st.node_v = op.node_v;
     for (std::size_t k = 0; k < c.capacitors().size(); ++k) {
       const Capacitor& cap = c.capacitors()[k];
@@ -295,7 +327,7 @@ TranState initial_state(const Circuit& c, bool use_ic) {
     sparse::CscMatrix csc;
     sparse::compress(stamp, csc);
     const std::vector<double> x =
-        sparse::MnaFactorization(csc, sparse::analyze(csc, sparse::Kernel::Auto)).solve(rhs);
+        sparse::MnaFactorization(csc, sparse::analyze(csc, kernel)).solve(rhs);
     for (int n = 1; n < c.node_count(); ++n)
       st.node_v[static_cast<std::size_t>(n)] = x[static_cast<std::size_t>(nrow(n))];
   } catch (const NumericalError&) {
@@ -435,7 +467,11 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
   const int size = c.mna_size();
   require(size > 0, "transient: empty circuit");
 
-  TranState st = initial_state(c, spec.use_ic);
+  // Structural analysis shared across every same-pattern numeric
+  // factorization: the operating point's, when the stepping matrix has its
+  // pattern (grids whose capacitors all go to ground).
+  std::shared_ptr<const sparse::Symbolic> sym;
+  TranState st = initial_state(c, spec.use_ic, spec.kernel, sym);
 
   TranResult res;
   res.nodes = spec.record_nodes;
@@ -467,12 +503,11 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
 
   // Sparse stamping state, hoisted: the triplet accumulator and CSC buffer
   // reuse their storage across refactorizations, and the structural analysis
-  // (kernel choice + orderings) is computed once per sparsity pattern and
-  // shared across every same-pattern numeric factorization — switch-state
-  // and step-size changes move matrix values, never positions.
+  // (kernel choice + orderings, `sym` above) is computed once per sparsity
+  // pattern — switch-state and step-size changes move matrix values, never
+  // positions.
   sparse::SparseStamp stamp(static_cast<std::size_t>(size));
   sparse::CscMatrix csc;
-  std::shared_ptr<const sparse::Symbolic> sym;
 
   // Hoisted per-step buffers: the steady-state loop below performs no heap
   // allocation (vector assignments reuse capacity after the first step).
@@ -572,6 +607,8 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
       if (!sym || csc.pattern_hash() != sym->pattern_hash) {
         sym = sparse::analyze(csc, spec.kernel);
         ++res.symbolic_analyses;
+      } else if (res.symbolic_analyses == 0) {
+        ++res.symbolic_analyses;  // The operating point's analysis, reused.
       }
       try {
         if (cache_capacity > 0) {

@@ -37,6 +37,11 @@ struct DcResult {
 DcResult dc_operating_point(const Circuit& circuit,
                             sparse::Kernel kernel = sparse::Kernel::Auto);
 
+/// The operating point's MNA matrix at the t = 0 switch states: what
+/// dc_operating_point factors first, for inspecting its structural analysis
+/// (sparse::analyze) without solving.
+sparse::CscMatrix dc_matrix(const Circuit& circuit);
+
 enum class Integrator { BackwardEuler, Trapezoidal };
 
 struct TranSpec {
@@ -75,9 +80,10 @@ struct TranSpec {
 
   /// Factorization kernel. Auto picks from the stamped structure
   /// (density/bandwidth heuristic, see sparse::analyze): small or dense
-  /// systems keep the legacy dense LU byte for byte, PDN ladders and regular
-  /// grids go banded, irregular large systems go general sparse. Any other
-  /// value forces that kernel.
+  /// systems keep the legacy dense LU byte for byte, PDN ladders and small
+  /// grids go banded, large grids and irregular large systems go general
+  /// sparse. Any other value forces that kernel, for the initial solve (DC
+  /// operating point or UIC) as well as the stepping loop.
   sparse::Kernel kernel = sparse::Kernel::Auto;
 
   /// Streaming sample sink. When set, every recorded row is delivered here
@@ -107,11 +113,13 @@ struct TranResult {
   std::size_t max_resident_factorizations = 0;
 
   // Sparse-kernel observability. `kernel` is the selected factorization
-  // kernel ("dense" / "banded" / "sparse"); `symbolic_analyses` counts
-  // structural analyses performed (1 per run when the pattern is stable —
-  // switch-state changes refactorize numerically without re-running
-  // symbolic); `factor_nnz` is the stored factor's nonzero footprint
-  // (n^2 dense, band storage banded, nnz(L)+nnz(U)+n sparse).
+  // kernel ("dense" / "banded" / "sparse"); `symbolic_analyses` counts the
+  // structural analyses serving the stepping loop (1 per run when the
+  // pattern is stable — switch-state changes refactorize numerically
+  // without re-running symbolic, and a loop that inherits the operating
+  // point's analysis counts it once); `factor_nnz` is the stored factor's
+  // nonzero footprint (n^2 dense, band storage banded, k^2 + 2kb per front
+  // multifrontal, nnz(L)+nnz(U)+n Gilbert-Peierls).
   std::string kernel;
   std::size_t symbolic_analyses = 0;
   std::size_t factor_nnz = 0;

@@ -703,6 +703,28 @@ TEST(Serve, SpiceTransientSchemaIsStrict) {
   EXPECT_FALSE(response_ok(rejected));
 }
 
+TEST(Serve, ForcedDenseKernelAboveTheLimitIsRefused) {
+  // A 4200-stage resistor chain forced onto the dense kernel would need a
+  // 141 MB matrix: the request fails up front, and the error detail names
+  // the field, the unknown count and the bytes.
+  std::string net = "v1 n0 0 DC 1\\n";
+  for (int i = 0; i < 4200; ++i)
+    net += "r" + std::to_string(i) + " n" + std::to_string(i) + " n" + std::to_string(i + 1) +
+           " 0.1\\nc" + std::to_string(i) + " n" + std::to_string(i + 1) + " 0 1p\\n";
+  Service svc;
+  const std::string body = R"({"op":"transient","id":1,"topology":"spice","netlist":")" + net +
+                           R"(","tstop":1e-8,"dt":1e-9,"kernel":)";
+  const std::string refused = svc.handle_line(body + R"("dense"})");
+  ASSERT_FALSE(response_ok(refused));
+  EXPECT_EQ(error_code(refused), "invalid-parameter");
+  const std::string detail = parsed(refused).find("error")->find("detail")->as_string();
+  EXPECT_NE(detail.find("kernel"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("n=4202"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("141254432 bytes"), std::string::npos) << detail;
+  // The same netlist runs on the automatic kernel.
+  EXPECT_TRUE(response_ok(svc.handle_line(body + R"("auto"})")));
+}
+
 // ---------------------------------------------------------------------------
 // Robustness: dead clients and enriched numerical failures.
 // ---------------------------------------------------------------------------
