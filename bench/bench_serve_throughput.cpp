@@ -324,13 +324,14 @@ int main(int argc, char** argv) {
   std::string json = "{\"benchmark\":\"serve_throughput\",\"runs\":[";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const Measurement& m = runs[i];
-    const double per_pass_s = m.summary.wall_s / static_cast<double>(m.summary.passes.size());
     for (std::size_t p = 0; p < m.summary.passes.size(); ++p) {
       const serve::BatchPassStats& s = m.summary.passes[p];
-      const double rps = per_pass_s > 0 ? static_cast<double>(s.requests) / per_pass_s : 0.0;
+      const double rps = s.wall_s > 0 ? static_cast<double>(s.requests) / s.wall_s : 0.0;
+      char hit_rate[16];
+      std::snprintf(hit_rate, sizeof hit_rate, "%.1f%%", s.hit_rate() * 100);
       t.add_row({std::to_string(m.threads), p == 0 ? "cold" : "warm",
-                 std::to_string(s.requests), TextTable::num(rps, 6),
-                 TextTable::num(s.hit_rate() * 100, 1) + "%", std::to_string(s.evaluations)});
+                 std::to_string(s.requests), TextTable::num(rps, 6), hit_rate,
+                 std::to_string(s.evaluations)});
     }
     char buf[256];
     std::snprintf(buf, sizeof buf,

@@ -22,9 +22,13 @@ BatchSummary run_batch(std::istream& in, std::ostream& out, Service& service,
   Scheduler scheduler(service, sopt);
 
   BatchSummary summary;
+  const auto seconds_since = [](std::chrono::steady_clock::time_point t) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t).count();
+  };
   const auto t0 = std::chrono::steady_clock::now();
   const int passes = opt.repeat < 1 ? 1 : opt.repeat;
   for (int pass = 0; pass < passes; ++pass) {
+    const auto t_pass = std::chrono::steady_clock::now();
     const ServiceStats before = service.stats();
     const int client = scheduler.open_client();
     // Same ordered-delivery machinery as the socket transport: one slot per
@@ -43,6 +47,7 @@ BatchSummary run_batch(std::istream& in, std::ostream& out, Service& service,
     const ServiceStats after = service.stats();
 
     BatchPassStats p;
+    p.wall_s = seconds_since(t_pass);
     p.requests = lines.size();
     p.hits = after.cache.hits - before.cache.hits;
     p.misses = after.cache.misses - before.cache.misses;
@@ -53,7 +58,7 @@ BatchSummary run_batch(std::istream& in, std::ostream& out, Service& service,
     summary.passes.push_back(p);
     summary.requests += p.requests;
   }
-  summary.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  summary.wall_s = seconds_since(t0);
   out.flush();
   return summary;
 }

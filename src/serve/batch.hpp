@@ -36,6 +36,7 @@ struct BatchPassStats {
   std::uint64_t evaluations = 0;
   std::uint64_t errors = 0;
   std::uint64_t store_hits = 0;  ///< in-memory misses answered by the durable tier
+  double wall_s = 0.0;           ///< this pass, first dispatch to last byte written
 
   /// Memory + durable tiers combined: a durable-store hit counted as a miss
   /// by the in-memory LRU still avoided an evaluation.

@@ -35,14 +35,20 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t shards) {
 
 std::optional<std::string> ResultCache::lookup(std::uint64_t key_hash,
                                                std::string_view canonical_key) {
+  std::optional<std::string> hit = probe(key_hash, canonical_key);
+  if (!hit) {
+    shard_for(key_hash).misses.fetch_add(1, std::memory_order_relaxed);
+    g_misses().add();
+  }
+  return hit;
+}
+
+std::optional<std::string> ResultCache::probe(std::uint64_t key_hash,
+                                              std::string_view canonical_key) {
   Shard& s = shard_for(key_hash);
   std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.index.find(canonical_key);
-  if (it == s.index.end()) {
-    s.misses.fetch_add(1, std::memory_order_relaxed);
-    g_misses().add();
-    return std::nullopt;
-  }
+  if (it == s.index.end()) return std::nullopt;
   s.hits.fetch_add(1, std::memory_order_relaxed);
   g_hits().add();
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // promote; iterators stay valid

@@ -20,9 +20,9 @@
 // is still served (and written through to the durable store) by the caller.
 //
 // Counter discipline: hit/miss/eviction tallies are std::atomic — bumped at
-// event time (inside the shard lock) but *read* lock-free by stats(), so
-// concurrent clients polling the "stats"/"metrics" ops never contend with
-// the lookup path and never read torn values. Every event is also routed to
+// event time but *read* lock-free by stats(), so concurrent clients polling
+// the "stats"/"metrics" ops never contend with the lookup path and never
+// read torn values. Every event is also routed to
 // the process metrics registry ("serve.cache.*"), which aggregates across
 // all caches in the process; the per-instance CacheStats remain the
 // per-Service snapshot the batch transport diffs between passes.
@@ -67,6 +67,10 @@ class ResultCache {
   /// Returns the cached payload and promotes the entry to most-recent, or
   /// nullopt (counting a miss).
   std::optional<std::string> lookup(std::uint64_t key_hash, std::string_view canonical_key);
+
+  /// lookup() for a caller that looks again before evaluating on a miss: a
+  /// hit counts and promotes as in lookup(), a miss counts nothing.
+  std::optional<std::string> probe(std::uint64_t key_hash, std::string_view canonical_key);
 
   /// Inserts (or refreshes) an entry, evicting the shard's least-recently
   /// used entries until both its entry and its byte share hold. An entry

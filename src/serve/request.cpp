@@ -233,12 +233,16 @@ Op op_from_string(const std::string& name) {
                          "optimize|scenario_eval|pds|transient|stats|metrics)");
 }
 
-Request parse_request(const json::Value& root) {
+namespace {
+constexpr const char* kMissingOp = "missing required field 'op'";
+}  // namespace
+
+Request parse_request(json::Value root) {
   if (!root.is_object()) throw InvalidParameter("request must be a JSON object");
   Request req;
   json::Value::Object body;
   bool saw_op = false;
-  for (const auto& m : root.as_object()) {
+  for (auto& m : root.as_object()) {
     if (m.first == "id") {
       if (!m.second.is_null() && !m.second.is_string() && !m.second.is_number())
         throw InvalidParameter("field 'id': expected string, number or null");
@@ -274,33 +278,36 @@ Request parse_request(const json::Value& root) {
       req.op = op_from_string(m.second.as_string());
       saw_op = true;
     }
-    body.push_back(m);
+    body.push_back(std::move(m));
   }
-  if (!saw_op) throw InvalidParameter("missing required field 'op'");
+  if (!saw_op) throw InvalidParameter(kMissingOp);
   req.body = json::Value(std::move(body));
   req.canonical = req.body.write_canonical();
   req.key = fnv1a64(req.canonical);
   return req;
 }
 
-TransportDirective classify_line(const std::string& line) {
-  TransportDirective d;
+DecodedLine decode_line(std::string_view line) {
+  DecodedLine d;
   try {
-    const json::Value root = json::Value::parse(line);
-    if (!root.is_object()) return d;
-    if (const json::Value* id = root.find("id"))
-      if (id->is_null() || id->is_string() || id->is_number()) d.id = *id;
-    if (const json::Value* c = root.find("cancel"); c != nullptr && !root.find("op")) {
-      d.is_cancel = true;
-      d.cancel_id = *c;
-      return d;
+    json::Value root = json::Value::parse(line);
+    if (root.is_object()) {
+      if (const json::Value* id = root.find("id"))
+        if (id->is_null() || id->is_string() || id->is_number()) d.id = *id;
+      if (const json::Value* c = root.find("cancel"); c != nullptr && !root.find("op")) {
+        d.is_cancel = true;
+        d.cancel_id = *c;
+        d.error = kMissingOp;  // what Service::handle answers an in-process cancel
+        return d;
+      }
+      if (const json::Value* s = root.find("stream"))
+        d.is_stream = s->is_bool() && s->as_bool();
+      if (const json::Value* dl = root.find("deadline_ms"))
+        if (dl->is_number() && dl->as_number() > 0.0) d.deadline_ms = dl->as_number();
     }
-    if (const json::Value* s = root.find("stream"))
-      d.is_stream = s->is_bool() && s->as_bool();
-    if (const json::Value* dl = root.find("deadline_ms"))
-      if (dl->is_number() && dl->as_number() > 0.0) d.deadline_ms = dl->as_number();
-  } catch (const std::exception&) {
-    // Malformed line: plain request; the service reports the parse error.
+    d.request = parse_request(std::move(root));
+  } catch (const std::exception& e) {
+    d.error = e.what();
   }
   return d;
 }

@@ -129,25 +129,32 @@ struct Request {
 
 /// Validates the envelope of a parsed request object and computes its
 /// canonical form + cache key. Parameter validation happens at evaluation
-/// time (see the builders below). Throws InvalidParameter. The transports
-/// route on `deadline_ms` and `stream` via classify_line(); here they are
-/// only validated.
-Request parse_request(const json::Value& root);
+/// time (see the builders below). Throws InvalidParameter. `decode_line`
+/// reads the routing fields `deadline_ms` and `stream`; here they are only
+/// validated. Takes `root` by value: the body's members are moved out of
+/// it, so a caller that moves its root in copies no member (a grid
+/// request's netlist is ~0.5 MB).
+Request parse_request(json::Value root);
 
-/// Cheap transport-level peek at a raw request line, used by transports to
-/// route it (plain response slot, stream slot, or cancel) and by the
-/// scheduler for cancel/deadline bookkeeping, so the line's envelope is read
-/// once before the service sees it. Never throws: a malformed line classifies
-/// as a plain request and the service reports the parse error in the
-/// ordinary response.
-struct TransportDirective {
+/// One request line, JSON-parsed once: the envelope fields a transport
+/// routes on (plain reply, frame stream or cancel; deadline) and, for a
+/// valid request, the Request the service answers from, so no later stage
+/// parses the line again.
+struct DecodedLine {
   bool is_stream = false;   ///< envelope asked for a frame-stream response
   bool is_cancel = false;   ///< {"cancel": <id>} control line (no "op")
   json::Value id;           ///< request id (null when absent/invalid)
   json::Value cancel_id;    ///< id named by a cancel line
   double deadline_ms = 0;   ///< <= 0 means no deadline
+  std::optional<Request> request;  ///< absent for a cancel or a bad line
+  std::string error;        ///< why `request` is absent (a bad_request detail)
 };
-TransportDirective classify_line(const std::string& line);
+
+/// Never throws: a malformed line decodes as a plain line whose `error` the
+/// service reports as a bad_request in the line's own reply slot. A cancel
+/// line is not validated as a request; its `error` names the missing op, the
+/// reply an in-process Service::handle_line gives it.
+DecodedLine decode_line(std::string_view line);
 
 // ---------------------------------------------------------------------------
 // Typed parameters per op. Builders perform strict field-level validation:

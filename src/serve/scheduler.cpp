@@ -72,11 +72,22 @@ struct DeliveryQueue::Inner {
   std::size_t stream_buffered = 0;  ///< undelivered stream-frame bytes
   bool closed = false;              ///< no further slots
   bool dead = false;                ///< consumer gone
+  bool consumer_busy = false;       ///< next() handed out bytes not yet written
+  TryWrite try_write;
+
+  /// A filled Plain slot holding `bytes`.
+  static Slot filled(std::string bytes) {
+    auto plain = std::make_shared<Plain::Impl>();
+    plain->bytes = std::move(bytes);
+    plain->ready = true;
+    return {std::move(plain), nullptr};
+  }
 };
 
-DeliveryQueue::DeliveryQueue(std::size_t stream_window)
+DeliveryQueue::DeliveryQueue(std::size_t stream_window, TryWrite try_write)
     : inner_(std::make_shared<Inner>()) {
   inner_->window = std::max<std::size_t>(1, stream_window);
+  inner_->try_write = std::move(try_write);
 }
 
 void DeliveryQueue::Plain::set(std::string bytes) {
@@ -143,6 +154,33 @@ std::shared_ptr<DeliveryQueue::Stream> DeliveryQueue::open_stream() {
   return s;
 }
 
+void DeliveryQueue::deliver(std::string bytes) {
+  Inner& in = *inner_;
+  {
+    std::lock_guard<std::mutex> lock(in.mu);
+    require(!in.closed, "serve: delivery slot opened after close_submit");
+    if (in.dead) return;  // the consumer would drain it to the floor
+    if (!in.try_write || !in.slots.empty() || in.consumer_busy) {
+      in.slots.push_back(Inner::filled(std::move(bytes)));
+      in.cv_data.notify_all();
+      return;
+    }
+  }
+  // Nothing is ahead of this reply and the consumer holds no bytes. Only
+  // this thread opens slots, so none can get ahead of it during the write,
+  // and the consumer, with no slot to take, stays idle.
+  const std::ptrdiff_t written = in.try_write(bytes.data(), bytes.size());
+  if (written == static_cast<std::ptrdiff_t>(bytes.size())) return;
+  std::lock_guard<std::mutex> lock(in.mu);
+  if (written < 0) {
+    in.dead = true;
+    in.cv_space.notify_all();
+  } else {
+    in.slots.push_back(Inner::filled(bytes.substr(static_cast<std::size_t>(written))));
+    in.cv_data.notify_all();
+  }
+}
+
 void DeliveryQueue::close_submit() {
   {
     std::lock_guard<std::mutex> lock(inner_->mu);
@@ -162,6 +200,7 @@ void DeliveryQueue::shutdown() {
 
 bool DeliveryQueue::next(std::string& bytes) {
   std::unique_lock<std::mutex> lock(inner_->mu);
+  inner_->consumer_busy = false;  // the bytes handed out last time are written
   for (;;) {
     inner_->cv_data.wait(lock, [&] {
       if (!inner_->slots.empty()) {
@@ -176,6 +215,7 @@ bool DeliveryQueue::next(std::string& bytes) {
     if (s.plain) {
       bytes = std::move(s.plain->bytes);
       inner_->slots.pop_front();
+      inner_->consumer_busy = true;
       return true;
     }
     if (!s.stream->frames.empty()) {
@@ -183,6 +223,7 @@ bool DeliveryQueue::next(std::string& bytes) {
       s.stream->frames.pop_front();
       inner_->stream_buffered -= bytes.size();
       inner_->cv_space.notify_all();
+      inner_->consumer_busy = true;
       return true;
     }
     inner_->slots.pop_front();  // finished stream, drained: next slot
@@ -231,32 +272,31 @@ void Scheduler::close_client(int client) {
   if (it->second.jobs.empty()) clients_.erase(it);
 }
 
-void Scheduler::dispatch(int client, std::string line, DeliveryQueue& out) {
-  const TransportDirective d = classify_line(line);
+void Scheduler::dispatch(int client, std::string_view line, DeliveryQueue& out) {
+  DecodedLine d = Service::decode(line);
   if (d.is_cancel) {
-    // Answered inline (in submission order via its own plain slot): a
-    // cancel directive must not wait behind the queue it is pruning.
+    // Answered inline (in submission order): a cancel directive must not
+    // wait behind the queue it is pruning.
     const bool hit = cancel(client, d.cancel_id);
-    out.open_plain()->set("{\"id\":" + d.id.write() +
-                          ",\"ok\":true,\"result\":{\"cancelled\":" +
-                          (hit ? "true" : "false") + "}}\n");
+    out.deliver("{\"id\":" + d.id.write() + ",\"ok\":true,\"result\":{\"cancelled\":" +
+                (hit ? "true" : "false") + "}}\n");
     return;
   }
+  if (!d.is_stream)
+    if (std::optional<std::string> reply = service_.cached_reply(d)) {
+      reply->push_back('\n');
+      out.deliver(std::move(*reply));
+      return;
+    }
   Job job;
-  job.line = std::move(line);
-  // Cancel/deadline bookkeeping comes from the envelope, not the service; a
-  // malformed line keeps id=null and is rejected by the service at dispatch.
-  job.id = d.id;
-  job.deadline_ms = d.deadline_ms;
+  job.line = std::move(d);
   job.client = client;
   job.enqueued = std::chrono::steady_clock::now();
-  if (d.is_stream) {
+  if (job.line.is_stream) {
     job.stream_out = out.open_stream();
     job.cancel_flag = std::make_shared<std::atomic<bool>>(false);
   } else {
-    job.sink = [slot = out.open_plain()](const std::string& response) {
-      slot->set(response + "\n");
-    };
+    job.plain_out = out.open_plain();
   }
 
   std::unique_lock<std::mutex> lock(mu_);
@@ -278,7 +318,7 @@ bool Scheduler::cancel(int client, const json::Value& id) {
   const auto it = clients_.find(client);
   if (it != clients_.end()) {
     for (Job& j : it->second.jobs)
-      if (!j.cancelled && j.id == id) {
+      if (!j.cancelled && j.line.id == id) {
         j.cancelled = true;
         if (j.cancel_flag) j.cancel_flag->store(true);
         sched_metrics().cancelled.add();
@@ -287,7 +327,7 @@ bool Scheduler::cancel(int client, const json::Value& id) {
   }
   // Stream jobs handed to the stream queue but not yet picked up.
   for (Job& j : stream_queue_)
-    if (j.client == client && !j.cancelled && j.id == id) {
+    if (j.client == client && !j.cancelled && j.line.id == id) {
       j.cancelled = true;
       j.cancel_flag->store(true);
       sched_metrics().cancelled.add();
@@ -394,19 +434,22 @@ void Scheduler::dispatcher_loop() {
       par::parallel_for(wave.size(), [&](std::size_t i) {
         const Job& j = wave[i];
         if (j.cancelled) {
-          responses[i] = Service::error_response(j.id, "cancelled",
+          responses[i] = Service::error_response(j.line.id, "cancelled",
                                                  "request cancelled before evaluation");
-        } else if (j.deadline_ms > 0.0 && elapsed_ms(j.enqueued, now) > j.deadline_ms) {
+        } else if (j.line.deadline_ms > 0.0 &&
+                   elapsed_ms(j.enqueued, now) > j.line.deadline_ms) {
           sched_metrics().expired.add();
-          responses[i] = Service::error_response(j.id, "deadline_exceeded",
+          responses[i] = Service::error_response(j.line.id, "deadline_exceeded",
                                                  "request waited past its deadline_ms");
         } else {
-          responses[i] = service_.handle_line(j.line);
+          responses[i] = service_.handle(j.line);
         }
+        responses[i].push_back('\n');
       });
 
       // Deliver serially in wave order (= per-client submission order).
-      for (std::size_t i = 0; i < wave.size(); ++i) wave[i].sink(responses[i]);
+      for (std::size_t i = 0; i < wave.size(); ++i)
+        wave[i].plain_out->set(std::move(responses[i]));
       m.wave_ms.observe(elapsed_ms(now, std::chrono::steady_clock::now()));
     }
 
@@ -427,7 +470,7 @@ void Scheduler::stream_worker_loop() {
     Job job = std::move(stream_queue_.front());
     stream_queue_.pop_front();
     const std::shared_ptr<std::atomic<bool>> flag = job.cancel_flag;
-    active_streams_.push_back({job.client, job.id, flag, job.stream_out});
+    active_streams_.push_back({job.client, job.line.id, flag, job.stream_out});
     lock.unlock();
 
     run_stream_job(std::move(job));
@@ -447,13 +490,14 @@ void Scheduler::run_stream_job(Job job) {
   IVORY_TRACE("serve.stream");
   const std::shared_ptr<DeliveryQueue::Stream> out = job.stream_out;
   StreamEmitter em([out](std::string&& bytes) { return out->push(std::move(bytes)); },
-                   job.cancel_flag, job.deadline_ms, job.enqueued);
-  const std::string id_json = job.id.write();
+                   job.cancel_flag, job.line.deadline_ms, job.enqueued);
+  const std::string id_json = job.line.id.write();
   try {
     const auto now = std::chrono::steady_clock::now();
     if (job.cancelled || job.cancel_flag->load(std::memory_order_relaxed)) {
       em.cancel_ack(stream_status_payload(id_json, "cancelled"));
-    } else if (job.deadline_ms > 0.0 && elapsed_ms(job.enqueued, now) > job.deadline_ms) {
+    } else if (job.line.deadline_ms > 0.0 &&
+               elapsed_ms(job.enqueued, now) > job.line.deadline_ms) {
       sched_metrics().expired.add();
       em.end(stream_status_payload(id_json, "deadline_exceeded"));
     } else {

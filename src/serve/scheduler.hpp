@@ -1,21 +1,41 @@
 // Job scheduler for the evaluation service.
 //
-// A single dispatcher thread drains a bounded FIFO queue in *waves*: it
+// `dispatch` is the one place a request line is decoded: it JSON-parses the
+// line once, on the calling transport's reader thread, into its envelope
+// and Request (Service::decode). What happens next depends on the line:
+//
+//   - {"cancel":<id>} is answered at once;
+//   - a plain request the in-memory result cache holds (Service::
+//     cached_reply; never `stats`/`metrics`, never the durable store) is
+//     answered at once through DeliveryQueue::deliver, so a hit waits for
+//     neither the dispatcher, another connection's wave nor the writer.
+//     The reader thread's write never blocks: a blocking one would stop it
+//     reading, and a client that sends many requests before reading any
+//     reply would then block on its own sends — a deadlock;
+//   - anything else — a miss, a bad line, `stats`, `metrics`, a stream —
+//     becomes a queued job that carries the decoded line, so no later stage
+//     parses it again.
+//
+// A single dispatcher thread drains the bounded FIFO queue in *waves*: it
 // gathers up to `wave` jobs (round-robin across client queues, preserving
 // each client's submission order — fairness across concurrent multi-request
 // batches), evaluates the wave on the process-wide deterministic thread pool
 // (`par::parallel_map`; a request's own inner sweep parallelism then runs
 // inline per the pool's nesting rule), and delivers the responses serially
-// in wave order. Per-client delivery order therefore always equals
-// submission order, so transports can stream responses without reordering
-// buffers.
+// in wave order. Every reply, queued or answered at once, fills a slot its
+// line opened in submission order, so per-client delivery order always
+// equals submission order and transports stream responses without
+// reordering buffers.
 //
 // Back-pressure: `dispatch` blocks while `queue_capacity` jobs are pending —
 // a slow consumer stalls its producer instead of growing memory without
 // bound. Cancellation (`cancel`) and per-request deadlines (`deadline_ms`
 // envelope field) apply to *queued* jobs: a job already evaluating runs to
 // completion; a cancelled or expired job is delivered as a structured
-// {"ok":false} response without touching a model.
+// {"ok":false} response without touching a model. A cache hit completes on
+// arrival, so a later {"cancel":<id>} naming it answers "cancelled":false
+// and its deadline_ms cannot expire. The serve.scheduler.* metrics (jobs,
+// queue_wait_ms, wave_size) count queued jobs only.
 //
 // Streamed requests ride the same per-client queues and
 // wave gather for ordering/fairness, but evaluate on a small pool of
@@ -30,6 +50,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -37,6 +58,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -50,20 +72,29 @@ namespace ivory::serve {
 /// for line responses, a Stream slot for frame streams) and run one consumer
 /// (`next`) that concatenates the slots' bytes in that order — so the wire
 /// order always equals submission order even though plain responses come
-/// from the dispatcher thread and stream frames from stream workers.
+/// from the dispatcher thread and stream frames from stream workers. A reply
+/// known at submission (a cache hit, a cancel answer) skips the slot when it
+/// can: `deliver`.
 ///
 /// Flow control: a Stream slot holds at most `stream_window` undelivered
 /// frames; `push` blocks past that, which backpressures exactly one stream
-/// worker. Plain `set` never blocks (the dispatcher must never stall on a
-/// slow reader). `shutdown` marks the consumer dead: pushes return false
-/// (producers unwind via StreamEmitter::Abort) while `next` keeps draining
-/// so producers already blocked always finish.
+/// worker. Plain `set` and `deliver` never block (neither the dispatcher nor
+/// a reader thread may stall on a slow reader). `shutdown` marks the
+/// consumer dead: pushes return false (producers unwind via
+/// StreamEmitter::Abort) while `next` keeps draining so producers already
+/// blocked always finish.
 ///
 /// All handles share ownership of the internal state, so a producer may
 /// outlive the queue object itself.
 class DeliveryQueue {
  public:
-  explicit DeliveryQueue(std::size_t stream_window = 8);
+  /// Writes up to `n` bytes to the transport without blocking. Returns how
+  /// many it wrote (0 when the transport would block), or -1 when the
+  /// consumer is gone.
+  using TryWrite = std::function<std::ptrdiff_t(const char* data, std::size_t n)>;
+
+  /// `try_write` empty: every reply goes through the consumer (`next`).
+  explicit DeliveryQueue(std::size_t stream_window = 8, TryWrite try_write = {});
 
   class Plain {
    public:
@@ -101,6 +132,14 @@ class DeliveryQueue {
   std::shared_ptr<Plain> open_plain();
   std::shared_ptr<Stream> open_stream();
 
+  /// Delivers a complete plain response as the next slot in order. Call it
+  /// from the one thread that opens the slots. When no earlier slot is
+  /// pending and the consumer holds no bytes, the calling thread writes it
+  /// with one `try_write`; what that leaves unwritten (all of it without a
+  /// `try_write`, or behind a pending slot) becomes a filled Plain slot for
+  /// the consumer. Never blocks on the transport (see the file comment).
+  void deliver(std::string bytes);
+
   /// No further slots will be opened; `next` returns false once drained.
   void close_submit();
 
@@ -109,7 +148,8 @@ class DeliveryQueue {
   void shutdown();
 
   /// Blocks for the next bytes to write in delivery order. Returns false
-  /// when the queue is closed and fully drained.
+  /// when the queue is closed and fully drained. The consumer writes the
+  /// bytes before it calls `next` again.
   bool next(std::string& bytes);
 
  private:
@@ -138,14 +178,14 @@ class Scheduler {
   /// Marks the client done; its already-queued jobs still run and deliver.
   void close_client(int client);
 
-  /// Routes one request line from a transport, reading its envelope once:
-  /// a {"cancel":<id>} line is answered at once, a streamed request gets a
-  /// stream slot in `out` and anything else a plain slot, opened in
-  /// submission order so `out` delivers the responses in that order.
-  /// Blocks while the queue is at capacity. Streamed requests evaluate on a
-  /// stream worker, which always finishes their slot, even on cancel or
-  /// error.
-  void dispatch(int client, std::string line, DeliveryQueue& out);
+  /// Routes one request line from a transport, decoding it once: a
+  /// {"cancel":<id>} line and an in-memory cache hit are answered at once
+  /// through `out.deliver`, a streamed request gets a stream slot in `out`
+  /// and anything else a plain slot, in submission order so `out` delivers
+  /// the responses in that order. Blocks while the queue is at capacity.
+  /// Streamed requests evaluate on a stream worker, which always finishes
+  /// their slot, even on cancel or error.
+  void dispatch(int client, std::string_view line, DeliveryQueue& out);
 
   /// Cancels the oldest *queued* job of `client` whose request id equals
   /// `id`, or flags a matching *active stream* so it aborts at its next
@@ -163,16 +203,16 @@ class Scheduler {
 
  private:
   struct Job {
-    std::string line;
-    json::Value id;  ///< from the envelope, for cancel/deadline bookkeeping
-    /// Receives the response line (no trailing newline). Invoked from the
-    /// dispatcher thread, serially, in per-client submission order.
-    std::function<void(const std::string&)> sink;
+    /// Decoded by dispatch; its id and deadline_ms drive cancel/deadline
+    /// bookkeeping.
+    DecodedLine line;
+    /// Filled from the dispatcher thread, serially, in per-client
+    /// submission order.
+    std::shared_ptr<DeliveryQueue::Plain> plain_out;
     std::shared_ptr<DeliveryQueue::Stream> stream_out;  ///< non-null = stream job
     std::shared_ptr<std::atomic<bool>> cancel_flag;     ///< stream jobs only
     int client = -1;
     bool cancelled = false;
-    double deadline_ms = 0.0;
     std::chrono::steady_clock::time_point enqueued;
   };
   struct ClientQueue {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 
 namespace ivory::serve {
 
@@ -33,6 +34,17 @@ bool write_all(int fd, const char* data, std::size_t n) {
     n -= static_cast<std::size_t>(w);
   }
   return true;
+}
+
+/// One non-blocking send (DeliveryQueue::TryWrite): the bytes the socket
+/// takes now, 0 when its buffer is full, -1 when the peer is gone.
+std::ptrdiff_t try_send(int fd, const char* data, std::size_t n) {
+  for (;;) {
+    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w >= 0) return w;
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK ? 0 : -1;
+  }
 }
 
 }  // namespace
@@ -122,7 +134,9 @@ void Server::accept_loop() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->client = scheduler_->open_client();
-    conn->delivery = std::make_unique<DeliveryQueue>(opt_.stream_window);
+    conn->delivery = std::make_unique<DeliveryQueue>(
+        opt_.stream_window,
+        [fd](const char* data, std::size_t n) { return try_send(fd, data, n); });
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.push_back(conn);
     reader_threads_.emplace_back([this, conn] { reader_loop(conn); });
@@ -155,10 +169,10 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     std::size_t start = 0;
     for (std::size_t nl = buf.find('\n', scanned); nl != std::string::npos;
          nl = buf.find('\n', start)) {
-      std::string line = buf.substr(start, nl - start);
+      std::string_view line(buf.data() + start, nl - start);
       start = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty()) scheduler_->dispatch(conn->client, std::move(line), *conn->delivery);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (!line.empty()) scheduler_->dispatch(conn->client, line, *conn->delivery);
     }
     buf.erase(0, start);
     scanned = buf.size();

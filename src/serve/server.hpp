@@ -8,11 +8,16 @@
 // piped through either transport yields the same per-request bytes.
 //
 // Lifecycle: one accept thread plus one reader and one writer thread per
-// live connection. The reader classifies each line (plain, streamed, or
-// cancel), opens a DeliveryQueue slot in submission order, and submits to the
-// scheduler; the writer drains the DeliveryQueue to the socket, so plain
-// responses (from the dispatcher) and stream frames (from stream workers)
-// interleave on the wire in exactly submission order. A write error marks
+// live connection. The reader hands each line to Scheduler::dispatch, which
+// decodes it and either answers it at once (a cancel, a cache hit) or opens
+// a DeliveryQueue slot in submission order and queues it; the writer drains
+// the DeliveryQueue to the socket, so plain responses (from the dispatcher)
+// and stream frames (from stream workers) interleave on the wire in exactly
+// submission order. A reply answered at once goes out from the reader
+// thread with one non-blocking send when nothing is ahead of it, and
+// otherwise through the writer: the reader never blocks on the socket, so a
+// client that sends many requests before reading any cannot stop it from
+// reading. A write error marks
 // the consumer gone: in-flight streams unwind via StreamEmitter::Abort and
 // the rest of the queue drains to the floor. On client EOF the reader closes
 // the queue, joins the writer, then closes. `stop()` shuts down accepting,

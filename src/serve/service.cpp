@@ -58,15 +58,6 @@ std::string error_envelope(const json::Value& id, const json::Value& error) {
   return out;
 }
 
-/// Parses and validates one request line; on failure `id` holds the id to
-/// echo in the error response (null when the line carried none).
-Request decode_line(const std::string& line, json::Value& id) {
-  const json::Value root = json::Value::parse(line);
-  if (const json::Value* i = root.find("id"))
-    if (i->is_null() || i->is_string() || i->is_number()) id = *i;
-  return parse_request(root);
-}
-
 /// Candidate label for quarantine diagnostics: the canonical body, truncated
 /// so one pathological request cannot bloat a report.
 std::string candidate_label(const Request& req) {
@@ -221,23 +212,43 @@ std::string Service::error_response(const json::Value& id, const std::string& co
   return error_envelope(id, json::Value(std::move(err)));
 }
 
-std::string Service::handle_line(const std::string& line) {
+std::string Service::handle_line(const std::string& line) { return handle(decode(line)); }
+
+DecodedLine Service::decode(std::string_view line) {
+  const auto t_decode = std::chrono::steady_clock::now();
+  DecodedLine d = decode_line(line);
+  // The histogram covers plain requests; a streamed request's decode is untimed.
+  if (d.request && !d.is_stream) serve_metrics().decode_ms.observe(ms_since(t_decode));
+  return d;
+}
+
+std::optional<std::string> Service::cached_reply(const DecodedLine& line) {
+  if (!line.request || line.request->op == Op::Stats || line.request->op == Op::Metrics)
+    return std::nullopt;
+  const Request& req = *line.request;
+  // The span is recorded for hits only: a miss's serve.request span is
+  // handle()'s.
+  const std::int64_t t0 = trace::enabled() ? trace::now_us() : -1;
+  std::optional<std::string> payload = cache_.probe(req.key, req.canonical);
+  if (!payload) return std::nullopt;
+  n_requests_.fetch_add(1, std::memory_order_relaxed);
+  serve_metrics().requests.add();
+  std::string reply = ok_response(req.id, *payload);
+  if (t0 >= 0) trace::record("serve.request", t0, trace::now_us() - t0);
+  return reply;
+}
+
+std::string Service::handle(const DecodedLine& line) {
   IVORY_TRACE("serve.request");
   ServeMetrics& m = serve_metrics();
   n_requests_.fetch_add(1, std::memory_order_relaxed);
   m.requests.add();
-  json::Value id;  // null until the request proves it has one
-
-  const auto t_decode = std::chrono::steady_clock::now();
-  Request req;
-  try {
-    req = decode_line(line, id);
-  } catch (const std::exception& e) {
+  if (!line.request) {
     n_errors_.fetch_add(1, std::memory_order_relaxed);
     m.errors.add();
-    return error_response(id, "bad_request", e.what());
+    return error_response(line.id, "bad_request", line.error);
   }
-  m.decode_ms.observe(ms_since(t_decode));
+  const Request& req = *line.request;
 
   if (req.op == Op::Stats) {
     const ServiceStats s = stats();
@@ -446,23 +457,23 @@ std::string Service::evaluate(const Request& req) {
 }
 
 void Service::handle_stream(const std::string& line, StreamEmitter& em) {
+  handle_stream(decode_line(line), em);
+}
+
+void Service::handle_stream(const DecodedLine& line, StreamEmitter& em) {
   IVORY_TRACE("serve.stream.request");
   StreamMetrics& sm = stream_metrics();
   n_requests_.fetch_add(1, std::memory_order_relaxed);
   serve_metrics().requests.add();
   sm.requests.add();
-  json::Value id;  // null until the request proves it has one
-
-  Request req;
-  try {
-    req = decode_line(line, id);
-  } catch (const std::exception& e) {
+  if (!line.request) {
     n_errors_.fetch_add(1, std::memory_order_relaxed);
     serve_metrics().errors.add();
     sm.errors.add();
-    em.error(error_response(id, "bad_request", e.what()));
+    em.error(error_response(line.id, "bad_request", line.error));
     return;
   }
+  const Request& req = *line.request;
   em.set_chunk_bytes(req.chunk_bytes);
   const std::string id_json = req.id.write();
 

@@ -24,7 +24,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "serve/cache.hpp"
 #include "serve/frame.hpp"
@@ -82,11 +84,26 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Full pipeline for one request line: parse, validate, cache lookup,
-  /// evaluate under quarantine, serialize. Never throws; malformed input
-  /// becomes an {"ok":false,...} response. Thread-safe — pool workers call
-  /// this concurrently.
+  /// Full pipeline for one request line: decode(), then handle(). Never
+  /// throws; malformed input becomes an {"ok":false,...} response.
+  /// Thread-safe — pool workers call this concurrently.
   std::string handle_line(const std::string& line);
+
+  /// decode_line, timed in the serve.decode_ms histogram for a valid plain
+  /// (not streamed) request. The scheduler calls it once per line, on the
+  /// connection's reader thread.
+  static DecodedLine decode(std::string_view line);
+
+  /// The pipeline after decoding: cache lookup, durable tier, evaluation
+  /// under quarantine, serialization. A line without a request gets its
+  /// bad_request reply. Never throws; thread-safe.
+  std::string handle(const DecodedLine& line);
+
+  /// The reply to a decoded plain request that the in-memory cache holds,
+  /// counted as a request and a cache hit; nullopt, counting nothing, for
+  /// anything else (a miss, a bad line, stats, metrics), which handle()
+  /// answers. Never touches the durable tier. Thread-safe.
+  std::optional<std::string> cached_reply(const DecodedLine& line);
 
   /// Streamed pipeline for one request line: emits wave1 HEADER/CHUNK/
   /// terminal frames through `em` instead of returning a line. Never throws.
@@ -97,6 +114,7 @@ class Service {
   /// length. Cancel/deadline mid-stream terminate with CANCEL_ACK /
   /// END{deadline_exceeded}.
   void handle_stream(const std::string& line, StreamEmitter& em);
+  void handle_stream(const DecodedLine& line, StreamEmitter& em);
 
   ServiceStats stats() const;
 

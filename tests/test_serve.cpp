@@ -7,7 +7,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "common/hash.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
+#include "common/trace.hpp"
 #include "core/sc_model.hpp"
 #include "serve/batch.hpp"
 #include "serve/cache.hpp"
@@ -573,9 +576,107 @@ TEST(Serve, SchedulerExpiresDeadlinedJob) {
   sched.close_client(client);
 }
 
+TEST(Serve, CacheHitIsNotHeldByOtherWork) {
+  // A hit is answered where its line is decoded. Client B's repeat of a
+  // cached body must arrive while the scheduler is still paused; client A's
+  // own hit, sent after A's queued miss, must still follow that miss.
+  Service svc;
+  const std::string body =
+      R"("op":"sc_static","n":3,"m":1,"cfly":4e-6,"gtot":15e3,"fsw":80e6,"iload":20})";
+  ASSERT_TRUE(response_ok(svc.handle_line(R"({"id":"warm",)" + body)));
+  Scheduler::Options opt;
+  opt.start_paused = true;
+  Scheduler sched(svc, opt);
+  const int a = sched.open_client();
+  const int b = sched.open_client();
+  DeliveryQueue dq_a;
+  DeliveryQueue dq_b;
+  sched.dispatch(a, R"({"op":"ldo_static","id":"a-miss","vin":1.2,"vout":1.0,"iload":5})",
+                 dq_a);
+  trace::clear();
+  sched.dispatch(a, R"({"id":"a-hit",)" + body, dq_a);
+  sched.dispatch(b, R"({"id":"b-hit",)" + body, dq_b);
+  EXPECT_EQ(sched.pending(), 1u) << "only A's miss belongs in the queue";
+  if (trace::enabled()) {
+    std::size_t spans = 0;
+    for (const trace::Event& e : trace::snapshot())
+      spans += std::string(e.name) == "serve.request";
+    EXPECT_EQ(spans, 2u) << "each hit answered at dispatch records a serve.request span";
+  }
+
+  std::future<std::string> b_reply = std::async(std::launch::async, [&dq_b] {
+    std::string bytes;
+    dq_b.next(bytes);
+    return bytes;
+  });
+  const bool prompt = b_reply.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  sched.resume();  // frees a hit that waits for the dispatcher, so the test ends
+  EXPECT_TRUE(prompt) << "B's cache hit waited for the paused scheduler";
+  std::string b_line = b_reply.get();
+  b_line.pop_back();
+  EXPECT_TRUE(response_ok(b_line)) << b_line;
+  EXPECT_EQ(parsed(b_line).find("id")->as_string(), "b-hit");
+
+  sched.drain();
+  const std::vector<std::string> got = delivered(dq_a);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(parsed(got[0]).find("id")->as_string(), "a-miss");
+  EXPECT_EQ(parsed(got[1]).find("id")->as_string(), "a-hit");
+  EXPECT_TRUE(response_ok(got[0])) << got[0];
+  EXPECT_TRUE(response_ok(got[1])) << got[1];
+  sched.close_client(a);
+  sched.close_client(b);
+}
+
 // ---------------------------------------------------------------------------
 // Unix-domain-socket transport vs in-process baseline.
 // ---------------------------------------------------------------------------
+
+TEST(Serve, ReaderThreadNeverBlocksOnAWrite) {
+  // One client sends 20,000 cache hits before it reads a reply: ~14 MB of
+  // replies, far past the socket buffer. Hits are answered on the reader
+  // thread; were it to write them with a blocking send, it would stop
+  // reading, the client's sends would block too, and neither side would
+  // move again.
+  ServerOptions opt;
+  opt.socket_path = "/tmp/ivory_test_flood_" + std::to_string(::getpid()) + ".sock";
+  Server server(std::move(opt));
+  server.start();
+  const std::string body =
+      R"("op":"sc_static","n":3,"m":1,"cfly":4e-6,"gtot":15e3,"fsw":80e6,"iload":20})";
+  const auto line = [&body](int id) { return "{\"id\":" + std::to_string(id) + "," + body; };
+  std::string first;
+  {
+    BlockingClient warm(server.socket_path());
+    warm.send_line(line(0));
+    first = warm.recv_line();
+  }
+  ASSERT_TRUE(response_ok(first)) << first;
+  const std::string after_id = first.substr(first.find(','));
+
+  constexpr int kHits = 20000;
+  std::future<std::string> flood = std::async(std::launch::async, [&] {
+    BlockingClient cli(server.socket_path());
+    std::string lines = line(1);
+    for (int i = 2; i <= kHits; ++i) lines += "\n" + line(i);
+    cli.send_line(lines);
+    std::size_t bytes = 0;
+    for (int i = 1; i <= kHits; ++i) {
+      const std::string got = cli.recv_line();
+      bytes += got.size() + 1;
+      if (got != "{\"id\":" + std::to_string(i) + after_id)
+        return "reply " + std::to_string(i) + " differs: " + got.substr(0, 120);
+    }
+    return bytes > (8u << 20) ? std::string() : "only " + std::to_string(bytes) + " bytes";
+  });
+  if (flood.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // The stuck reader and client threads cannot be joined: end the process.
+    std::fprintf(stderr, "Serve.ReaderThreadNeverBlocksOnAWrite: no progress in 10 s\n");
+    std::_Exit(1);
+  }
+  EXPECT_EQ(flood.get(), "");
+  server.stop();
+}
 
 TEST(Serve, SocketClientsGetBatchIdenticalBytes) {
   // Baseline: single-threaded in-process service.

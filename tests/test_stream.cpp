@@ -125,8 +125,7 @@ std::string service_stream(Service& svc, const std::string& stream_request,
                            const std::string& expect_status = "ok") {
   std::string bytes;
   StreamEmitter em = capture_emitter(bytes);
-  const TransportDirective d = classify_line(stream_request);
-  EXPECT_TRUE(d.is_stream) << stream_request;
+  EXPECT_TRUE(decode_line(stream_request).is_stream) << stream_request;
   svc.handle_stream(stream_request, em);
   StreamAssembler out = assemble(bytes);
   EXPECT_EQ(out.status(), expect_status) << out.decoded();
@@ -474,6 +473,47 @@ TEST(DeliveryQueue, ShutdownFailsPushesButKeepsDraining) {
   std::string piece;
   while (dq.next(piece)) {
   }
+}
+
+TEST(DeliveryQueue, DeliverWritesAtOnceOnlyWhenNothingIsAhead) {
+  // A non-blocking transport write that takes at most `room` bytes a call.
+  std::string wire;
+  std::size_t room = 3;
+  const auto try_write = [&](const char* data, std::size_t n) -> std::ptrdiff_t {
+    n = std::min(n, room);
+    wire.append(data, n);
+    return static_cast<std::ptrdiff_t>(n);
+  };
+  std::string piece;
+  {
+    DeliveryQueue dq(8, try_write);
+    dq.deliver("ABCDE\n");  // nothing ahead, consumer idle: written at once...
+    EXPECT_EQ(wire, "ABC");  // ...up to what the transport takes; the rest queues
+    room = 100;
+    dq.deliver("F\n");  // behind the queued rest
+    auto g = dq.open_plain();
+    dq.deliver("H\n");  // behind G's pending slot
+    EXPECT_EQ(wire, "ABC");
+    g->set("G\n");
+    dq.close_submit();
+    while (dq.next(piece)) wire += piece;
+    EXPECT_EQ(wire, "ABCDE\nF\nG\nH\n");
+  }
+  {
+    wire.clear();
+    DeliveryQueue dq(8, try_write);
+    dq.open_plain()->set("P\n");
+    ASSERT_TRUE(dq.next(piece));  // the consumer now holds P's bytes
+    dq.deliver("Q\n");
+    EXPECT_EQ(wire, "") << "written while the consumer held earlier bytes";
+    dq.close_submit();
+    while (dq.next(piece)) wire += piece;
+    EXPECT_EQ(wire, "Q\n");
+  }
+  // A transport that reports its peer gone marks the consumer dead.
+  DeliveryQueue gone(8, [](const char*, std::size_t) -> std::ptrdiff_t { return -1; });
+  gone.deliver("X\n");
+  EXPECT_FALSE(gone.open_stream()->push("late"));
 }
 
 // ---------------------------------------------------------------------------

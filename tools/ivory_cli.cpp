@@ -689,7 +689,7 @@ int cmd_client(json::Value& body) {
     }
 
     client.send_line(line);
-    if (frames && serve::classify_line(line).is_stream) {
+    if (frames && serve::decode_line(line).is_stream) {
       const serve::StreamAssembler asm_ =
           serve::read_stream(raw_read, [](const serve::Frame& f) {
             if (f.type == serve::FrameType::Chunk)
