@@ -58,9 +58,8 @@ SimPoint simulate_buck(const core::BuckDesign& d, double vin, double i_load) {
   const spice::NodeId out = ckt.node("out");
   ckt.add_vsource("v1", vin_n, spice::kGround, spice::Waveform::dc(vin));
   const spice::PhaseClock clk(d.f_sw_hz, 1, a.duty);
-  ckt.add_switch("s_hs", vin_n, sw, r_hs, 1e8, clk.control(0), clk.edge_fn(0));
-  ckt.add_switch("s_ls", sw, spice::kGround, r_ls, 1e8,
-                 [clk](double t) { return !clk.active(0, t); }, clk.edge_fn(0));
+  ckt.add_switch("s_hs", vin_n, sw, r_hs, 1e8, clk.phase(0));
+  ckt.add_switch("s_ls", sw, spice::kGround, r_ls, 1e8, clk.phase(0, /*inverted=*/true));
   ckt.add_inductor_ic("l1", sw, lx, l_eq, i_load);
   ckt.add_resistor("r_dcr", lx, out, std::max(r_dcr, 1e-6));
   ckt.add_capacitor_ic("cout", out, spice::kGround, d.c_out_f, 1.0);

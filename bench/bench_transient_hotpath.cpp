@@ -3,11 +3,14 @@
 // Times the switch-level transient engine on the two converters that define
 // its steady-state workload — the Fig. 9 two-phase SC converter and the
 // Fig. 8 buck power stage — in fixed-step and adaptive modes, at LU-cache
-// capacity 1 (the old single-slot behaviour), the default LRU, and 0
-// (refactorize every step). Reports steps/s and LU factorizations per 1k
-// steps, self-checks that every capacity produces byte-identical waveforms,
-// and writes the measurements to BENCH_transient.json so the perf trajectory
-// is tracked across PRs.
+// capacity 1 (a single slot), the default LRU, and 0 (refactorize every
+// step). Reports steps/s and LU factorizations per 1k steps, self-checks that
+// every capacity produces byte-identical waveforms, and writes the
+// measurements to BENCH_transient.json so the perf trajectory is tracked
+// across PRs. Also counts each scenario's configurations per cycle (the
+// factorizations of a one-period run) and fails when a fixed-step scenario
+// factors more often than that at the default capacity: a deterministic work
+// gate, unlike the wall-clock columns.
 //
 // Also sweeps N x N on-chip power grids (8x8 up to 100x100, ~10k MNA
 // unknowns) across the dense, banded, and sparse factorization kernels
@@ -91,8 +94,8 @@ void build_sc_pdn(spice::Circuit& ckt, spice::NodeId* vout) {
   const spice::NodeId fly = ckt.node("fly");
   const spice::NodeId out = ckt.node("out");
   const spice::PhaseClock clk(20e6, 2, 0.48);
-  ckt.add_switch("s1", pn.die, fly, 0.01, 1e8, clk.control(0), clk.edge_fn(0));
-  ckt.add_switch("s2", fly, out, 0.01, 1e8, clk.control(1), clk.edge_fn(1));
+  ckt.add_switch("s1", pn.die, fly, 0.01, 1e8, clk.phase(0));
+  ckt.add_switch("s2", fly, out, 0.01, 1e8, clk.phase(1));
   ckt.add_capacitor_ic("cfly", fly, spice::kGround, 100e-9, 1.65);
   ckt.add_capacitor_ic("cout", out, spice::kGround, 100e-9, 1.65);
   ckt.add_resistor("rl", out, spice::kGround, 3.3);
@@ -109,9 +112,8 @@ void build_buck(spice::Circuit& ckt, spice::NodeId* vout) {
   const spice::NodeId out = ckt.node("out");
   ckt.add_vsource("v1", vin, spice::kGround, spice::Waveform::dc(1.8));
   const spice::PhaseClock clk(f_sw, 1, duty);
-  ckt.add_switch("s_hs", vin, sw, 5e-3, 1e8, clk.control(0), clk.edge_fn(0));
-  ckt.add_switch("s_ls", sw, spice::kGround, 5e-3, 1e8,
-                 [clk](double t) { return !clk.active(0, t); }, clk.edge_fn(0));
+  ckt.add_switch("s_hs", vin, sw, 5e-3, 1e8, clk.phase(0));
+  ckt.add_switch("s_ls", sw, spice::kGround, 5e-3, 1e8, clk.phase(0, /*inverted=*/true));
   ckt.add_inductor_ic("l1", sw, lx, 4e-9, i_load);
   ckt.add_resistor("r_dcr", lx, out, 1e-3);
   ckt.add_capacitor_ic("cout", out, spice::kGround, 150e-9, 1.0);
@@ -125,6 +127,7 @@ struct Scenario {
   double tstop = 0.0;
   double dt = 0.0;
   bool adaptive = false;
+  double period = 0.0;  ///< Switching period.
 };
 
 struct Point {
@@ -188,12 +191,13 @@ int main(int argc, char** argv) {
   const double buck_tstop = smoke ? 20e-9 : 400e-9;
   const double buck_dt = 1.0 / (800.0 * 100e6);
 
+  const double sc_period = 1.0 / 20e6, buck_period = 1.0 / 100e6;
   const std::vector<Scenario> scenarios = {
-      {"sc2_fixed", build_sc, sc_tstop, sc_dt, false},
-      {"sc2_adaptive", build_sc, sc_tstop, sc_dt, true},
-      {"sc2_pdn_fixed", build_sc_pdn, sc_tstop, sc_dt, false},
-      {"buck_fixed", build_buck, buck_tstop, buck_dt, false},
-      {"buck_adaptive", build_buck, buck_tstop, buck_dt, true},
+      {"sc2_fixed", build_sc, sc_tstop, sc_dt, false, sc_period},
+      {"sc2_adaptive", build_sc, sc_tstop, sc_dt, true, sc_period},
+      {"sc2_pdn_fixed", build_sc_pdn, sc_tstop, sc_dt, false, sc_period},
+      {"buck_fixed", build_buck, buck_tstop, buck_dt, false, buck_period},
+      {"buck_adaptive", build_buck, buck_tstop, buck_dt, true, buck_period},
   };
   const int kDefaultCapacity = spice::TranSpec{}.lu_cache_capacity;
   const std::vector<int> capacities = {0, 1, kDefaultCapacity};
@@ -202,24 +206,35 @@ int main(int argc, char** argv) {
               smoke ? " (smoke)" : "");
 
   bool all_identical = true;
+  bool configs_gate_met = true;
   double sc_fixed_factor_ratio = 0.0, sc_fixed_speedup = 0.0, sc_fixed_speedup_vs_off = 0.0;
   double sc_pdn_speedup = 0.0;
   std::vector<std::pair<Scenario, std::vector<Point>>> all;
+  std::vector<std::size_t> all_configs;  ///< Configurations per cycle, per scenario.
 
   for (const Scenario& s : scenarios) {
     spice::Circuit ckt;
     spice::NodeId vout = spice::kGround;
     s.build(ckt, &vout);
 
+    spice::TranSpec spec;
+    spec.tstop = s.tstop;
+    spec.dt = s.dt;
+    spec.method = spice::Integrator::BackwardEuler;
+    spec.use_ic = true;
+    spec.record_nodes = {vout};
+    spec.adaptive = s.adaptive;
+
+    // Configurations per cycle: the distinct (step, integrator, switch
+    // states) keys of the first period, each factored once by a cache with
+    // room for all of them.
+    spice::TranSpec one_period = spec;
+    one_period.tstop = s.period;
+    one_period.lu_cache_capacity = spice::kMaxLuCacheCapacity;
+    const std::size_t configs = spice::transient(ckt, one_period).lu_factorizations;
+
     std::vector<Point> points;
     for (int cap : capacities) {
-      spice::TranSpec spec;
-      spec.tstop = s.tstop;
-      spec.dt = s.dt;
-      spec.method = spice::Integrator::BackwardEuler;
-      spec.use_ic = true;
-      spec.record_nodes = {vout};
-      spec.adaptive = s.adaptive;
       spec.lu_cache_capacity = cap;
 
       Point p;
@@ -261,6 +276,17 @@ int main(int argc, char** argv) {
 
     const Point& cap1 = points[1];
     const Point& capN = points[2];
+    // Fixed-step runs repeat the first period's step sizes every period, so
+    // the default cache must factor each configuration once. Adaptive step
+    // sizes follow the solution and need not recur; they are reported only.
+    const bool gated = !s.adaptive;
+    const bool within = capN.res.lu_factorizations <= configs;
+    std::printf("%s: %zu configurations per cycle, %zu factorizations at the default capacity "
+                "%d%s\n\n",
+                s.name.c_str(), configs, capN.res.lu_factorizations, kDefaultCapacity,
+                !gated ? " (adaptive: not gated)" : within ? " (gate: <= configurations, met)"
+                                                            : " (gate: <= configurations, NOT met)");
+    if (gated && !within) configs_gate_met = false;
     if (s.name == "sc2_fixed") {
       sc_fixed_factor_ratio = static_cast<double>(cap1.res.lu_factorizations) /
                               static_cast<double>(std::max<std::size_t>(capN.res.lu_factorizations, 1));
@@ -269,6 +295,7 @@ int main(int argc, char** argv) {
     }
     if (s.name == "sc2_pdn_fixed") sc_pdn_speedup = cap1.wall_s / capN.wall_s;
     all.emplace_back(s, std::move(points));
+    all_configs.push_back(configs);
   }
 
   // --- Grid-size sweep: dense vs banded vs sparse kernels on N x N on-chip
@@ -406,6 +433,9 @@ int main(int argc, char** argv) {
               sc_pdn_speedup);
   if (!all_identical)
     std::printf("ERROR: waveforms are NOT byte-identical across cache capacities!\n");
+  if (!configs_gate_met)
+    std::printf("ERROR: a fixed-step scenario factored more often than its configurations per "
+                "cycle at the default capacity\n");
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
@@ -417,6 +447,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"reps\": %d,\n", reps);
   std::fprintf(f, "  \"byte_identical\": %s,\n", all_identical ? "true" : "false");
+  std::fprintf(f, "  \"factorizations_within_configs_per_cycle\": %s,\n",
+               configs_gate_met ? "true" : "false");
   std::fprintf(f, "  \"sc2_fixed_factorization_ratio_cap1_vs_default\": %.3f,\n",
                sc_fixed_factor_ratio);
   std::fprintf(f, "  \"sc2_fixed_speedup_default_vs_cap1\": %.3f,\n", sc_fixed_speedup);
@@ -426,8 +458,10 @@ int main(int argc, char** argv) {
   for (std::size_t si = 0; si < all.size(); ++si) {
     const Scenario& s = all[si].first;
     const std::vector<Point>& points = all[si].second;
-    std::fprintf(f, "    {\"name\": \"%s\", \"adaptive\": %s, \"points\": [\n", s.name.c_str(),
-                 s.adaptive ? "true" : "false");
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"adaptive\": %s, \"configs_per_cycle\": %zu, "
+                 "\"points\": [\n",
+                 s.name.c_str(), s.adaptive ? "true" : "false", all_configs[si]);
     for (std::size_t i = 0; i < points.size(); ++i) {
       const Point& p = points[i];
       const double steps = static_cast<double>(p.res.steps_taken);
@@ -473,5 +507,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("Wrote %s\n", out_path.c_str());
-  return all_identical && grid_agree ? 0 : 1;
+  return all_identical && grid_agree && configs_gate_met ? 0 : 1;
 }

@@ -405,12 +405,11 @@ ScNetlistResult build_netlist_impl(spice::Circuit& c, const ScTopology& t,
     const double g_i = g_tot * g_weights[i] / g_weight_total;
     if (vref_v < 0.0) {
       c.add_switch("sc_s" + std::to_string(i), node[static_cast<size_t>(s.a)],
-                   node[static_cast<size_t>(s.b)], 1.0 / g_i, 1e9, clk.control(s.phase),
-                   clk.edge_fn(s.phase));
+                   node[static_cast<size_t>(s.b)], 1.0 / g_i, 1e9, clk.phase(s.phase));
     } else {
       c.add_gated_switch("sc_s" + std::to_string(i), node[static_cast<size_t>(s.a)],
-                         node[static_cast<size_t>(s.b)], 1.0 / g_i, 1e9, clk.control(s.phase),
-                         clk.edge_fn(s.phase), node[kScVout], spice::kGround, vref_v, vhyst_v);
+                         node[static_cast<size_t>(s.b)], 1.0 / g_i, 1e9, clk.phase(s.phase),
+                         node[kScVout], spice::kGround, vref_v, vhyst_v);
     }
   }
 

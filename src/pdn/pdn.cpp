@@ -168,6 +168,11 @@ PdnNodes build_pdn_netlist(spice::Circuit& c, const PdnParams& p, double v_suppl
   return {vrm, die};
 }
 
+std::size_t hold_index(double t, double dt, std::size_t n) {
+  const double k = std::floor(t / dt + 1e-6);
+  return static_cast<std::size_t>(std::clamp(k, 0.0, static_cast<double>(n - 1)));
+}
+
 std::vector<double> simulate_die_voltage(const PdnParams& p, double v_supply,
                                          const std::vector<double>& i_load, double dt) {
   require(i_load.size() >= 2, "simulate_die_voltage: need at least two samples");
@@ -179,10 +184,7 @@ std::vector<double> simulate_die_voltage(const PdnParams& p, double v_supply,
   const std::vector<double> samples = i_load;
   c.add_isource("iload", nodes.die, spice::kGround,
                 spice::Waveform::custom([samples, dt](double t) {
-                  const double k = t / dt;
-                  const std::size_t i =
-                      std::min(static_cast<std::size_t>(std::max(k, 0.0)), samples.size() - 1);
-                  return samples[i];
+                  return samples[hold_index(t, dt, samples.size())];
                 }));
 
   spice::TranSpec spec;

@@ -112,9 +112,16 @@ GridNodes build_grid_netlist(spice::Circuit& c, const GridParams& p);
 /// Convenience: a Circuit holding just the grid (tests and benches).
 spice::Circuit make_grid_circuit(const GridParams& p);
 
+/// Index of the sample a zero-order hold of period `dt` plays at time t,
+/// clamped to [0, n): floor(t / dt), except that a t within 1e-6 dt below a
+/// grid time k*dt plays sample k. The transient engine's t is a running sum
+/// of its steps, which often lands a few ULP short of the grid.
+std::size_t hold_index(double t, double dt, std::size_t n);
+
 /// Fast dedicated transient: die voltage response to a load-current trace
-/// i_load[k] sampled at dt, supply held at v_supply. Uses trapezoidal
-/// integration on the ladder state (validated against ivory_spice).
+/// i_load[k] sampled at dt (zero-order hold, see hold_index), supply held at
+/// v_supply. Uses trapezoidal integration on the ladder state (validated
+/// against ivory_spice).
 std::vector<double> simulate_die_voltage(const PdnParams& p, double v_supply,
                                          const std::vector<double>& i_load, double dt);
 

@@ -555,7 +555,8 @@ TransientParams transient_params(const json::Value& body) {
     p.dv_max_v = r.num("dv_max", p.dv_max_v);
     p.dt_max_s = r.num("dt_max", p.dt_max_s);
     p.lu_cache_capacity = r.integer("lu_cache", p.lu_cache_capacity);
-    if (p.lu_cache_capacity < 0) r.fail("lu_cache", "must be >= 0");
+    if (p.lu_cache_capacity < 0 || p.lu_cache_capacity > spice::kMaxLuCacheCapacity)
+      r.fail("lu_cache", "must be in [0, " + std::to_string(spice::kMaxLuCacheCapacity) + "]");
     p.kernel = r.str("kernel", p.kernel);
     try {
       sparse::kernel_from_string(p.kernel);

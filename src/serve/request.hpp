@@ -38,6 +38,7 @@
 #include "core/pareto.hpp"
 #include "core/sc_topology.hpp"
 #include "scenario/scenario.hpp"
+#include "spice/analysis.hpp"
 #include "workload/workload.hpp"
 
 namespace ivory::serve {
@@ -275,7 +276,7 @@ struct TransientParams {
   bool adaptive = false;
   double dv_max_v = 1e-3;
   double dt_max_s = 0.0;
-  int lu_cache_capacity = 8;              ///< See spice::TranSpec.
+  int lu_cache_capacity = spice::kDefaultLuCacheCapacity;  ///< See spice::TranSpec.
   /// Factorization kernel: "auto" (default) | "dense" | "banded" | "sparse".
   std::string kernel = "auto";
 };

@@ -103,15 +103,20 @@ bool gate_below(const Switch& s, const std::vector<double>& node_v, bool prev) {
   return vc < s.vth - 0.5 * s.vhyst;
 }
 
-// Combined closed state given the time part and the voltage-gate state.
-bool switch_closed(const Switch& s, double t, bool vgate) {
+// Combined closed state given the clock phase's state and the voltage-gate
+// state.
+bool switch_closed(const Switch& s, bool clocked, bool vgate) {
   switch (s.kind) {
-    case Switch::Kind::Time: return s.control(t);
+    case Switch::Kind::Time: return clocked;
     case Switch::Kind::Voltage: return vgate;
-    case Switch::Kind::TimeVoltage: return s.control(t) && vgate;
+    case Switch::Kind::TimeVoltage: return clocked && vgate;
   }
   return false;
 }
+
+// The clock phase's state at t = 0: what the operating point, the AC sweep
+// and the initial conditions see.
+bool clocked_at_zero(const Switch& s) { return s.drive && s.drive->closed(0.0); }
 
 }  // namespace
 
@@ -151,7 +156,7 @@ void stamp_dc(const Circuit& c, const std::vector<bool>& sw_closed, sparse::Spar
 std::vector<bool> initial_switch_states(const Circuit& c) {
   std::vector<bool> sw_closed(c.switches().size(), false);
   for (std::size_t k = 0; k < c.switches().size(); ++k)
-    sw_closed[k] = switch_closed(c.switches()[k], 0.0, false);
+    sw_closed[k] = switch_closed(c.switches()[k], clocked_at_zero(c.switches()[k]), false);
   return sw_closed;
 }
 
@@ -196,7 +201,7 @@ DcResult solve_operating_point(const Circuit& c, sparse::Kernel kernel,
                                  ? gate_above(s, node_v, vgate[k])
                                  : gate_below(s, node_v, vgate[k]);
       vgate[k] = next_gate;
-      const bool next = switch_closed(s, 0.0, next_gate);
+      const bool next = switch_closed(s, clocked_at_zero(s), next_gate);
       if (next != sw_closed[k]) {
         sw_closed[k] = next;
         changed = true;
@@ -286,7 +291,7 @@ TranState initial_state(const Circuit& c, bool use_ic, sparse::Kernel kernel,
       if (s.kind == Switch::Kind::Time) continue;
       st.sw_vgate[k] = s.kind == Switch::Kind::Voltage ? gate_above(s, st.node_v, false)
                                                        : gate_below(s, st.node_v, false);
-      st.sw_closed[k] = switch_closed(s, 0.0, st.sw_vgate[k]);
+      st.sw_closed[k] = switch_closed(s, clocked_at_zero(s), st.sw_vgate[k]);
     }
     return st;
   }
@@ -348,7 +353,7 @@ TranState initial_state(const Circuit& c, bool use_ic, sparse::Kernel kernel,
     if (s.kind == Switch::Kind::Time) continue;
     st.sw_vgate[k] = s.kind == Switch::Kind::Voltage ? gate_above(s, st.node_v, false)
                                                      : gate_below(s, st.node_v, false);
-    st.sw_closed[k] = switch_closed(s, 0.0, st.sw_vgate[k]);
+    st.sw_closed[k] = switch_closed(s, clocked_at_zero(s), st.sw_vgate[k]);
   }
   return st;
 }
@@ -397,9 +402,9 @@ void pack_factor_key(FactorKey& key, double h, bool be, const std::vector<bool>&
     if (sw_closed[k]) key.sw_wide[k / 64] |= std::uint64_t{1} << (k % 64);
 }
 
-// Bounded LRU over keyed factorizations. Linear scan: capacities are single
-// digits (one entry per distinct phase configuration), so a scan beats any
-// hashed structure and keeps eviction exact.
+// Bounded LRU over keyed factorizations. Linear scan: capacities are small
+// (one entry per distinct phase configuration; default 16, at most 64), so a
+// scan beats any hashed structure and keeps eviction exact.
 class FactorCache {
  public:
   explicit FactorCache(std::size_t capacity) : capacity_(capacity) {
@@ -456,13 +461,93 @@ class FactorCache {
   std::vector<Entry> entries_;
 };
 
-}  // namespace
+// One clock period's time base: a cycle count, the in-period offset at
+// which the next step starts and the next edge of any phase on that period.
+// A step never crosses an edge; it is shortened to land on it, and the
+// landing sets the offset to the edge's own in-period value (the period end
+// wraps it to 0 and counts a cycle). Offsets therefore restart from the same
+// values every period, so every period repeats the same step sizes bit for
+// bit and the keyed LU cache factors each configuration once per run.
+struct ClockFrame {
+  double period = 0.0;
+  std::vector<double> edges;  ///< Distinct in-period edges in (0, period], ascending.
+  std::size_t next = 0;       ///< Index of the next edge.
+  double offset = 0.0;        ///< In-period offset of the next step's start.
+  std::uint64_t cycles = 0;   ///< Completed periods.
 
-TranResult transient(const Circuit& c, const TranSpec& spec) {
-  IVORY_TRACE("spice.transient");
+  double to_edge() const { return edges[next] - offset; }
+
+  /// Absolute time of the next step's start.
+  double time() const { return static_cast<double>(cycles) * period + offset; }
+
+  void land() {
+    const bool wraps = next + 1 == edges.size();
+    offset = wraps ? 0.0 : edges[next];
+    next = wraps ? 0 : next + 1;
+    cycles += wraps ? 1 : 0;
+  }
+
+  /// Advances past an accepted step of `h` (never more than to_edge()).
+  /// An edge within `floor` of where the step ends counts as reached: the
+  /// step was meant to land on it and only rounding kept it short. Returns
+  /// true when the frame landed on at least one edge.
+  bool advance(double h, double floor) {
+    bool landed = h >= to_edge();
+    if (landed)
+      land();
+    else
+      offset += h;
+    for (std::size_t laps = 0; to_edge() <= floor; ++laps) {
+      // Every edge within the floor of the one before: no step can resolve
+      // this clock.
+      if (laps == edges.size())
+        throw InvalidParameter("transient: a clock period of " + std::to_string(period) +
+                               " s is too short to resolve at this dt");
+      land();
+      landed = true;
+    }
+    return landed;
+  }
+};
+
+// One frame per distinct clock period among the switches' drives, holding
+// every on and off edge of the phases on it; `frame_of[k]` is switch k's
+// frame (-1 for undriven switches).
+std::vector<ClockFrame> clock_frames(const Circuit& c, std::vector<int>& frame_of) {
+  std::vector<ClockFrame> frames;
+  frame_of.assign(c.switches().size(), -1);
+  for (std::size_t k = 0; k < c.switches().size(); ++k) {
+    const std::optional<ClockPhase>& drive = c.switches()[k].drive;
+    if (!drive) continue;
+    const double period = drive->clock.period();
+    std::size_t f = 0;
+    while (f < frames.size() && frames[f].period != period) ++f;
+    if (f == frames.size()) frames.push_back(ClockFrame{period, {period}});
+    frame_of[k] = static_cast<int>(f);
+    for (const double frac :
+         {drive->clock.on_fraction(drive->phase), drive->clock.off_fraction(drive->phase)})
+      if (frac > 0.0 && frac < 1.0) frames[f].edges.push_back(frac * period);
+  }
+  for (ClockFrame& f : frames) {
+    std::sort(f.edges.begin(), f.edges.end());
+    f.edges.erase(std::unique(f.edges.begin(), f.edges.end()), f.edges.end());
+  }
+  return frames;
+}
+
+// The whole run without any observability: `transient` wraps it in the trace
+// span and folds the counters afterwards. Kept out of line so the stepping
+// loop compiles to the same machine code whether the metrics layer is
+// compiled in or out (-DIVORY_NO_METRICS); inlined, the span's cleanup and
+// the fold changed its register allocation and block layout, which the
+// metrics-overhead A/B read as up to 25% either way on single points.
+[[gnu::noinline]] TranResult run_transient(const Circuit& c, const TranSpec& spec) {
   require(spec.dt > 0.0, "transient: dt must be positive");
   require(spec.tstop > spec.dt, "transient: tstop must exceed dt");
   require(spec.record_every >= 1, "transient: record_every must be >= 1");
+  if (spec.lu_cache_capacity < 0 || spec.lu_cache_capacity > kMaxLuCacheCapacity)
+    throw InvalidParameter("transient: lu_cache_capacity must be in [0, " +
+                           std::to_string(kMaxLuCacheCapacity) + "]");
 
   const int size = c.mna_size();
   require(size > 0, "transient: empty circuit");
@@ -480,9 +565,12 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
   res.voltages.assign(res.nodes.size(), {});
 
   // Hoisted scratch row for the streaming sink: the record path stays
-  // allocation-free either way.
+  // allocation-free either way. Forced inline: it runs every recorded step,
+  // and GCC's -O3 growth limit for this large function otherwise leaves it
+  // an out-of-line call, which made the 5-unknown switched requests of
+  // perfbench's transient_mix ~7% slower.
   std::vector<double> sink_row(spec.sample_sink ? res.nodes.size() : 0);
-  auto record = [&](double t) {
+  auto record = [&](double t) __attribute__((always_inline)) {
     if (spec.sample_sink) {
       for (std::size_t i = 0; i < res.nodes.size(); ++i)
         sink_row[i] = st.node_v[static_cast<std::size_t>(res.nodes[i])];
@@ -495,7 +583,6 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
   };
   record(0.0);
 
-  require(spec.lu_cache_capacity >= 0, "transient: lu_cache_capacity must be >= 0");
   const std::size_t cache_capacity = static_cast<std::size_t>(spec.lu_cache_capacity);
   FactorCache cache(cache_capacity);
   std::optional<sparse::MnaFactorization> uncached;  // Capacity-0 (disabled) path.
@@ -516,8 +603,31 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
   std::vector<bool> sw_closed_before;
   std::vector<bool> sw_vgate_before;
 
+  // Clock time base (see ClockFrame) and the switch states it drives.
+  // `clocked[k]` is switch k's clock-phase state, re-read only after a
+  // landing; voltage gates are re-read every step.
+  const double h_floor = spec.dt * 1e-6;
+  std::vector<int> frame_of;
+  std::vector<ClockFrame> frames = clock_frames(c, frame_of);
+  for (ClockFrame& f : frames) f.advance(0.0, h_floor);
+  std::vector<char> clocked(c.switches().size(), 0);
+  const bool has_gates =
+      std::any_of(c.switches().begin(), c.switches().end(),
+                  [](const Switch& s) { return s.kind != Switch::Kind::Time; });
+  bool clock_moved = true;
+
+  // The resolved configuration: its factorization and the companion
+  // conductances of its step size and integrator. Steps that repeat it —
+  // every step between two edges but the first, unless a voltage gate flips —
+  // go straight to RHS, solve and state update.
+  sparse::MnaFactorization* lu = nullptr;
+  double lu_h = 0.0;
+  bool lu_be = false;
+  std::vector<double> g_cap(c.capacitors().size(), 0.0);
+  std::vector<double> z_ind(c.inductors().size(), 0.0);
+
   double t = 0.0;
-  std::size_t step_index = 0;
+  int until_record = spec.record_every;
   bool first_step = true;
   const double tend = spec.tstop * (1.0 - 1e-12);
 
@@ -531,113 +641,126 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
 
   while (t < tend) {
     double h = h_base;
-    if (spec.align_to_switch_edges) {
-      // Floor on the shortened step: an edge a few ULP past t (floating-point
-      // residue of landing exactly on a previous edge) must count as already
-      // taken, or h collapses toward zero and the companion conductances
-      // blow up.
-      const double h_floor = std::max(spec.dt * 1e-6,
-                                      8.0 * std::numeric_limits<double>::epsilon() * t);
-      for (const Switch& s : c.switches()) {
-        if (!s.next_edge) continue;
-        const double e = s.next_edge(t);
-        if (e > t + h_floor && e < t + h) h = e - t;
-      }
-    }
-    if (t + h > spec.tstop) h = spec.tstop - t;
-    if (h < spec.dt * 1e-6) break;  // Reached tstop up to floating-point residue.
+    for (const ClockFrame& f : frames) h = std::min(h, f.to_edge());
+    // The last step is cut to end at tstop. A clocked run treats tstop as it
+    // treats an edge, reached when the step ends within the landing floor of
+    // it, so a tstop on the clock's grid repeats a configuration instead of
+    // adding one; clock-less runs keep the exact cut.
+    if (t + h > spec.tstop && (frames.empty() || t + h - spec.tstop > h_floor))
+      h = spec.tstop - t;
+    if (h < h_floor) break;  // Reached tstop up to floating-point residue.
     const double tm = t + h;
 
-    // Switch states for this step: time switches sampled at the midpoint
-    // (steps land on edges, so the midpoint is inside a single phase);
-    // voltage-controlled switches from the previous accepted solution.
-    // Snapshots allow a rejected adaptive step to roll back cleanly.
-    sw_closed_before = st.sw_closed;
-    sw_vgate_before = st.sw_vgate;
+    // Switch states for this step: clock phases read at the step's midpoint
+    // offset (steps land on edges, so the midpoint is inside a single
+    // phase); voltage gates from the previous accepted solution. Snapshots
+    // allow a rejected adaptive step to roll back cleanly; the frames only
+    // move once a step is accepted.
+    if (spec.adaptive) {
+      sw_closed_before = st.sw_closed;
+      sw_vgate_before = st.sw_vgate;
+    }
     bool states_changed = first_step;
-    for (std::size_t k = 0; k < c.switches().size(); ++k) {
-      const Switch& s = c.switches()[k];
-      if (s.kind != Switch::Kind::Time) {
-        st.sw_vgate[k] = s.kind == Switch::Kind::Voltage
-                             ? gate_above(s, st.node_v, st.sw_vgate[k])
-                             : gate_below(s, st.node_v, st.sw_vgate[k]);
+    if (clock_moved || has_gates) {
+      for (std::size_t k = 0; k < c.switches().size(); ++k) {
+        const Switch& s = c.switches()[k];
+        if (clock_moved && s.drive) {
+          const ClockFrame& f = frames[static_cast<std::size_t>(frame_of[k])];
+          clocked[k] = s.drive->closed(f.offset + 0.5 * h);
+        }
+        if (s.kind != Switch::Kind::Time) {
+          st.sw_vgate[k] = s.kind == Switch::Kind::Voltage
+                               ? gate_above(s, st.node_v, st.sw_vgate[k])
+                               : gate_below(s, st.node_v, st.sw_vgate[k]);
+        }
+        const bool next = switch_closed(s, clocked[k] != 0, st.sw_vgate[k]);
+        if (next != static_cast<bool>(st.sw_closed[k])) {
+          st.sw_closed[k] = next;
+          states_changed = true;
+        }
       }
-      const bool next = switch_closed(s, t + 0.5 * h, st.sw_vgate[k]);
-      if (next != static_cast<bool>(st.sw_closed[k])) {
-        st.sw_closed[k] = next;
-        states_changed = true;
-      }
+      clock_moved = false;
     }
 
     // One BE step after every discontinuity avoids trapezoidal ringing.
     const bool use_be = spec.method == Integrator::BackwardEuler || first_step || states_changed;
 
-    // Factorization lookup: the matrix is determined by (h, integrator,
-    // switch states), so the keyed cache factors once per distinct
-    // configuration and replays it on every later step with the same key.
-    pack_factor_key(key, h, use_be, st.sw_closed);
-    sparse::MnaFactorization* lu =
-        cache_capacity > 0 ? cache.find(key) : nullptr;
-    if (lu != nullptr) {
-      ++res.lu_cache_hits;
+    if (lu != nullptr && !states_changed && h == lu_h && use_be == lu_be && cache_capacity > 0) {
+      ++res.lu_cache_hits;  // The resolved configuration again.
     } else {
-      stamp.reset();
-      for (const Resistor& r : c.resistors()) stamp_conductance(stamp, r.a, r.b, 1.0 / r.ohms);
-      for (std::size_t k = 0; k < c.switches().size(); ++k) {
-        const Switch& s = c.switches()[k];
-        stamp_conductance(stamp, s.a, s.b, 1.0 / switch_resistance(s, st.sw_closed[k]));
-      }
-      for (std::size_t k = 0; k < c.capacitors().size(); ++k) {
-        const Capacitor& cap = c.capacitors()[k];
-        const double gc = (use_be ? 1.0 : 2.0) * cap.farads / h;
-        stamp_conductance(stamp, cap.a, cap.b, gc);
-      }
-      for (std::size_t k = 0; k < c.vsources().size(); ++k) {
-        const VSource& v = c.vsources()[k];
-        stamp_branch_kcl(stamp, v.pos, v.neg, c.vsource_current_index(static_cast<int>(k)), 1.0);
-      }
-      for (std::size_t k = 0; k < c.inductors().size(); ++k) {
-        const Inductor& l = c.inductors()[k];
-        const int m = c.inductor_current_index(static_cast<int>(k));
-        stamp_branch_kcl(stamp, l.a, l.b, m, 1.0);
-        stamp.add(static_cast<std::size_t>(m), static_cast<std::size_t>(m),
-                  -(use_be ? 1.0 : 2.0) * l.henries / h);
-      }
-      sparse::compress(stamp, csc);
-      if (!sym || csc.pattern_hash() != sym->pattern_hash) {
-        sym = sparse::analyze(csc, spec.kernel);
-        ++res.symbolic_analyses;
-      } else if (res.symbolic_analyses == 0) {
-        ++res.symbolic_analyses;  // The operating point's analysis, reused.
-      }
-      try {
-        if (cache_capacity > 0) {
-          lu = cache.insert(key, sparse::MnaFactorization(csc, sym),
-                            &res.lu_cache_evictions);
-        } else {
-          uncached.emplace(csc, sym);
-          lu = &*uncached;
+      // Factorization lookup: the matrix is determined by (h, integrator,
+      // switch states), so the keyed cache factors once per distinct
+      // configuration and replays it on every later step with the same key.
+      pack_factor_key(key, h, use_be, st.sw_closed);
+      lu = cache_capacity > 0 ? cache.find(key) : nullptr;
+      if (lu != nullptr) {
+        ++res.lu_cache_hits;
+      } else {
+        stamp.reset();
+        for (const Resistor& r : c.resistors()) stamp_conductance(stamp, r.a, r.b, 1.0 / r.ohms);
+        for (std::size_t k = 0; k < c.switches().size(); ++k) {
+          const Switch& s = c.switches()[k];
+          stamp_conductance(stamp, s.a, s.b, 1.0 / switch_resistance(s, st.sw_closed[k]));
         }
-      } catch (const SingularMatrixError& e) {
-        rethrow_singular(c, e, " (transient at t=" + std::to_string(t) +
-                                   ", h=" + std::to_string(h) + ")");
-      } catch (const NumericalError& e) {
-        throw NumericalError(std::string(e.what()) + " (transient at t=" + std::to_string(t) +
-                             ", h=" + std::to_string(h) + ")");
+        for (std::size_t k = 0; k < c.capacitors().size(); ++k) {
+          const Capacitor& cap = c.capacitors()[k];
+          const double gc = (use_be ? 1.0 : 2.0) * cap.farads / h;
+          stamp_conductance(stamp, cap.a, cap.b, gc);
+        }
+        for (std::size_t k = 0; k < c.vsources().size(); ++k) {
+          const VSource& v = c.vsources()[k];
+          stamp_branch_kcl(stamp, v.pos, v.neg, c.vsource_current_index(static_cast<int>(k)),
+                           1.0);
+        }
+        for (std::size_t k = 0; k < c.inductors().size(); ++k) {
+          const Inductor& l = c.inductors()[k];
+          const int m = c.inductor_current_index(static_cast<int>(k));
+          stamp_branch_kcl(stamp, l.a, l.b, m, 1.0);
+          stamp.add(static_cast<std::size_t>(m), static_cast<std::size_t>(m),
+                    -(use_be ? 1.0 : 2.0) * l.henries / h);
+        }
+        sparse::compress(stamp, csc);
+        if (!sym || csc.pattern_hash() != sym->pattern_hash) {
+          sym = sparse::analyze(csc, spec.kernel);
+          ++res.symbolic_analyses;
+        } else if (res.symbolic_analyses == 0) {
+          ++res.symbolic_analyses;  // The operating point's analysis, reused.
+        }
+        try {
+          if (cache_capacity > 0) {
+            lu = cache.insert(key, sparse::MnaFactorization(csc, sym),
+                              &res.lu_cache_evictions);
+          } else {
+            uncached.emplace(csc, sym);
+            lu = &*uncached;
+          }
+        } catch (const SingularMatrixError& e) {
+          rethrow_singular(c, e, " (transient at t=" + std::to_string(t) +
+                                     ", h=" + std::to_string(h) + ")");
+        } catch (const NumericalError& e) {
+          throw NumericalError(std::string(e.what()) + " (transient at t=" + std::to_string(t) +
+                               ", h=" + std::to_string(h) + ")");
+        }
+        ++res.lu_factorizations;
+        res.factor_nnz = lu->factor_nnz();
+        if (res.kernel.empty()) res.kernel = sparse::kernel_name(lu->kernel());
       }
-      ++res.lu_factorizations;
-      res.factor_nnz = lu->factor_nnz();
-      if (res.kernel.empty()) res.kernel = sparse::kernel_name(lu->kernel());
+      res.max_resident_factorizations =
+          std::max(res.max_resident_factorizations,
+                   cache_capacity > 0 ? cache.size() : std::size_t{1});
+      lu_h = h;
+      lu_be = use_be;
+      for (std::size_t k = 0; k < c.capacitors().size(); ++k)
+        g_cap[k] = (use_be ? 1.0 : 2.0) * c.capacitors()[k].farads / h;
+      for (std::size_t k = 0; k < c.inductors().size(); ++k)
+        z_ind[k] = (use_be ? 1.0 : 2.0) * c.inductors()[k].henries / h;
     }
-    res.max_resident_factorizations =
-        std::max(res.max_resident_factorizations,
-                 cache_capacity > 0 ? cache.size() : std::size_t{1});
 
     std::fill(rhs.begin(), rhs.end(), 0.0);
     for (std::size_t k = 0; k < c.capacitors().size(); ++k) {
       const Capacitor& cap = c.capacitors()[k];
-      const double gc = (use_be ? 1.0 : 2.0) * cap.farads / h;
-      const double ieq = use_be ? gc * st.cap_vab[k] : gc * st.cap_vab[k] + st.cap_i[k];
+      const double ieq =
+          use_be ? g_cap[k] * st.cap_vab[k] : g_cap[k] * st.cap_vab[k] + st.cap_i[k];
       stamp_current(rhs, cap.a, cap.b, ieq);
     }
     for (std::size_t k = 0; k < c.vsources().size(); ++k) {
@@ -645,11 +768,9 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
       rhs[static_cast<std::size_t>(c.vsource_current_index(static_cast<int>(k)))] = v.wave(tm);
     }
     for (std::size_t k = 0; k < c.inductors().size(); ++k) {
-      const Inductor& l = c.inductors()[k];
       const int m = c.inductor_current_index(static_cast<int>(k));
-      const double zl = (use_be ? 1.0 : 2.0) * l.henries / h;
       rhs[static_cast<std::size_t>(m)] =
-          use_be ? -zl * st.ind_j[k] : -zl * st.ind_j[k] - st.ind_vab[k];
+          use_be ? -z_ind[k] * st.ind_j[k] : -z_ind[k] * st.ind_j[k] - st.ind_vab[k];
     }
     for (const ISource& i : c.isources()) stamp_current(rhs, i.neg, i.pos, i.wave(tm));
 
@@ -661,10 +782,13 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
         dv = std::max(dv, std::fabs(x[static_cast<std::size_t>(nrow(n))] -
                                     st.node_v[static_cast<std::size_t>(n)]));
       if (dv > spec.dv_max_v && h > spec.dt * 1.0001) {
-        // Reject: restore switch states, shrink, retry the same instant.
+        // Reject: restore switch states, shrink, retry the same instant (the
+        // frames have not moved, so the retry re-reads the same phases).
         st.sw_closed = sw_closed_before;
         st.sw_vgate = sw_vgate_before;
         h_base = std::max(spec.dt, 0.5 * h);
+        clock_moved = true;
+        lu = nullptr;
         continue;
       }
       if (states_changed)
@@ -679,8 +803,8 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
       const Capacitor& cap = c.capacitors()[k];
       const double vab = st.node_v[static_cast<std::size_t>(cap.a)] -
                          st.node_v[static_cast<std::size_t>(cap.b)];
-      const double gc = (use_be ? 1.0 : 2.0) * cap.farads / h;
-      st.cap_i[k] = use_be ? gc * (vab - st.cap_vab[k]) : gc * (vab - st.cap_vab[k]) - st.cap_i[k];
+      st.cap_i[k] = use_be ? g_cap[k] * (vab - st.cap_vab[k])
+                           : g_cap[k] * (vab - st.cap_vab[k]) - st.cap_i[k];
       st.cap_vab[k] = vab;
     }
     for (std::size_t k = 0; k < c.inductors().size(); ++k) {
@@ -690,63 +814,81 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
       st.ind_vab[k] = st.node_v[static_cast<std::size_t>(l.a)] -
                       st.node_v[static_cast<std::size_t>(l.b)];
     }
-
+    // Time sums the steps (a fixed-step time axis stays an arithmetic run
+    // between edges) and restarts from the first clock's own count at each
+    // of its landings, so it never drifts from the edges.
     t = tm;
-    ++step_index;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      if (!frames[i].advance(h, h_floor)) continue;
+      clock_moved = true;
+      if (i == 0) t = frames[0].time();
+    }
     ++res.steps_taken;
     first_step = false;
-    if (step_index % static_cast<std::size_t>(spec.record_every) == 0) record(t);
-  }
-
-  // Fold the run's counters onto the process registry once, here — the
-  // stepping loop above stays metrics-free, and the TranResult fields remain
-  // the per-run snapshot API (the registry holds process-lifetime totals).
-  {
-    static metrics::Counter& runs = metrics::registry().counter("spice.tran.runs");
-    static metrics::Counter& steps = metrics::registry().counter("spice.tran.steps");
-    static metrics::Counter& factorizations =
-        metrics::registry().counter("spice.tran.lu_factorizations");
-    static metrics::Counter& hits = metrics::registry().counter("spice.tran.lu_cache_hits");
-    static metrics::Counter& evictions =
-        metrics::registry().counter("spice.tran.lu_cache_evictions");
-    runs.add();
-    steps.add(res.steps_taken);
-    factorizations.add(res.lu_factorizations);
-    hits.add(res.lu_cache_hits);
-    evictions.add(res.lu_cache_evictions);
-    metrics::registry()
-        .gauge("spice.tran.max_resident_factorizations")
-        .set_max(static_cast<std::int64_t>(res.max_resident_factorizations));
-    // Sparse-kernel observability: per-kernel factorization/solve counts, the
-    // symbolic-analysis count (reuse means this stays at runs, not
-    // factorizations), and the fill-in high-water mark.
-    // The kernel names are a closed set, so the registry lookups are
-    // function-local statics (registered once, then lock-free adds): short
-    // grid runs must not pay string building + a mutexed lookup per run.
-    if (!res.kernel.empty()) {
-      struct LuCounters {
-        metrics::Counter& factorizations;
-        metrics::Counter& solves;
-      };
-      static LuCounters dense{metrics::registry().counter("ivory.lu.dense.factorizations"),
-                              metrics::registry().counter("ivory.lu.dense.solves")};
-      static LuCounters banded{metrics::registry().counter("ivory.lu.banded.factorizations"),
-                               metrics::registry().counter("ivory.lu.banded.solves")};
-      static LuCounters sparse_lu{metrics::registry().counter("ivory.lu.sparse.factorizations"),
-                                  metrics::registry().counter("ivory.lu.sparse.solves")};
-      static metrics::Counter& symbolic =
-          metrics::registry().counter("ivory.lu.symbolic_analyses");
-      static metrics::Gauge& fill = metrics::registry().gauge("ivory.lu.fill_nnz");
-      const sparse::Kernel kernel = sparse::kernel_from_string(res.kernel);
-      LuCounters& by_kernel = kernel == sparse::Kernel::Banded   ? banded
-                              : kernel == sparse::Kernel::Sparse ? sparse_lu
-                                                                 : dense;
-      by_kernel.factorizations.add(res.lu_factorizations);
-      by_kernel.solves.add(res.steps_taken);
-      symbolic.add(res.symbolic_analyses);
-      fill.set_max(static_cast<std::int64_t>(res.factor_nnz));
+    if (--until_record == 0) {
+      until_record = spec.record_every;
+      record(t);
     }
   }
+  return res;
+}
+
+// Folds one run's counters onto the process registry, once per run — never
+// per step. The TranResult fields remain the per-run snapshot API (the
+// registry holds process-lifetime totals).
+void fold_run_metrics(const TranResult& res) {
+  static metrics::Counter& runs = metrics::registry().counter("spice.tran.runs");
+  static metrics::Counter& steps = metrics::registry().counter("spice.tran.steps");
+  static metrics::Counter& factorizations =
+      metrics::registry().counter("spice.tran.lu_factorizations");
+  static metrics::Counter& hits = metrics::registry().counter("spice.tran.lu_cache_hits");
+  static metrics::Counter& evictions =
+      metrics::registry().counter("spice.tran.lu_cache_evictions");
+  static metrics::Gauge& max_resident =
+      metrics::registry().gauge("spice.tran.max_resident_factorizations");
+  runs.add();
+  steps.add(res.steps_taken);
+  factorizations.add(res.lu_factorizations);
+  hits.add(res.lu_cache_hits);
+  evictions.add(res.lu_cache_evictions);
+  max_resident.set_max(static_cast<std::int64_t>(res.max_resident_factorizations));
+  // Sparse-kernel observability: per-kernel factorization/solve counts, the
+  // symbolic-analysis count (reuse means this stays at runs, not
+  // factorizations), and the fill-in high-water mark.
+  // The kernel names are a closed set, so the registry lookups are
+  // function-local statics (registered once, then lock-free adds): short
+  // grid runs must not pay string building + a mutexed lookup per run.
+  if (!res.kernel.empty()) {
+    struct LuCounters {
+      metrics::Counter& factorizations;
+      metrics::Counter& solves;
+    };
+    static LuCounters dense{metrics::registry().counter("ivory.lu.dense.factorizations"),
+                            metrics::registry().counter("ivory.lu.dense.solves")};
+    static LuCounters banded{metrics::registry().counter("ivory.lu.banded.factorizations"),
+                             metrics::registry().counter("ivory.lu.banded.solves")};
+    static LuCounters sparse_lu{metrics::registry().counter("ivory.lu.sparse.factorizations"),
+                                metrics::registry().counter("ivory.lu.sparse.solves")};
+    static metrics::Counter& symbolic =
+        metrics::registry().counter("ivory.lu.symbolic_analyses");
+    static metrics::Gauge& fill = metrics::registry().gauge("ivory.lu.fill_nnz");
+    const sparse::Kernel kernel = sparse::kernel_from_string(res.kernel);
+    LuCounters& by_kernel = kernel == sparse::Kernel::Banded   ? banded
+                            : kernel == sparse::Kernel::Sparse ? sparse_lu
+                                                               : dense;
+    by_kernel.factorizations.add(res.lu_factorizations);
+    by_kernel.solves.add(res.steps_taken);
+    symbolic.add(res.symbolic_analyses);
+    fill.set_max(static_cast<std::int64_t>(res.factor_nnz));
+  }
+}
+
+}  // namespace
+
+TranResult transient(const Circuit& c, const TranSpec& spec) {
+  IVORY_TRACE("spice.transient");
+  TranResult res = run_transient(c, spec);
+  fold_run_metrics(res);
   return res;
 }
 
@@ -775,7 +917,7 @@ AcResult ac_analysis(const Circuit& c, const std::vector<double>& freqs_hz,
       const bool vgate = s.kind == Switch::Kind::Voltage  ? gate_above(s, op.node_v, false)
                          : s.kind == Switch::Kind::TimeVoltage ? gate_below(s, op.node_v, false)
                                                                : false;
-      sw_closed[k] = switch_closed(s, 0.0, vgate);
+      sw_closed[k] = switch_closed(s, clocked_at_zero(s), vgate);
     }
   }
 

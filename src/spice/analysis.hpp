@@ -3,12 +3,13 @@
 // All three assemble modified-nodal-analysis (MNA) systems over the Circuit
 // netlist: node voltages plus one branch-current unknown per voltage source
 // and per inductor. The transient integrator supports backward Euler and
-// trapezoidal companion models, lands steps exactly on announced switch edges,
-// takes a backward-Euler step right after any switch event (avoids the
-// classic trapezoidal ringing at discontinuities), and reuses LU
+// trapezoidal companion models, lands steps exactly on the switches' clock
+// edges (timed from each clock's own period, so every period repeats the
+// same step sizes), takes a backward-Euler step right after any switch event
+// (avoids the classic trapezoidal ringing at discontinuities), and reuses LU
 // factorizations through a small LRU keyed by (step size, integrator,
 // switch-state bitmask) — a steady-state switched circuit factors once per
-// distinct phase configuration, not once per edge.
+// distinct phase configuration per run, not once per edge.
 #pragma once
 
 #include <complex>
@@ -44,6 +45,13 @@ sparse::CscMatrix dc_matrix(const Circuit& circuit);
 
 enum class Integrator { BackwardEuler, Trapezoidal };
 
+/// Default and upper bound of TranSpec::lu_cache_capacity. Each entry holds
+/// one factorization (n^2 doubles dense; ~5.8 MB for a 64x64 grid's
+/// multifrontal factor), so the bound keeps a request from pinning
+/// unbounded memory.
+inline constexpr int kDefaultLuCacheCapacity = 16;
+inline constexpr int kMaxLuCacheCapacity = 64;
+
 struct TranSpec {
   double tstop = 0.0;
   double dt = 0.0;
@@ -55,9 +63,6 @@ struct TranSpec {
   int record_every = 1;
   /// Nodes to record; empty = all non-ground nodes.
   std::vector<NodeId> record_nodes;
-  /// Shorten steps to land exactly on switch edges announced via
-  /// Switch::next_edge.
-  bool align_to_switch_edges = true;
 
   /// Adaptive (delta-V limited) stepping: the step grows while the largest
   /// node-voltage change per step stays under `dv_max_v` and shrinks when it
@@ -72,11 +77,14 @@ struct TranSpec {
   /// Capacity of the keyed LU-factorization cache: factorizations are kept
   /// in a small LRU keyed by (step size, integrator, switch-state bitmask),
   /// so steady-state switched circuits factor once per distinct phase
-  /// configuration instead of once per switch edge. 1 reproduces the old
-  /// single-slot behaviour; 0 disables reuse entirely (refactorize every
-  /// step). The output waveform is byte-identical at every capacity: a cache
-  /// hit replays the exact factorization the same matrix would produce.
-  int lu_cache_capacity = 8;
+  /// configuration instead of once per switch edge. A two-phase clock with
+  /// dead time has up to 9 configurations per period at dt = T/100, which
+  /// the default holds; an 8-entry LRU would evict each of 9 just before it
+  /// recurs. 1 keeps a single slot; 0 disables reuse entirely (refactorize
+  /// every step). At most kMaxLuCacheCapacity. The output waveform is byte-identical at
+  /// every capacity: a cache hit replays the exact factorization the same
+  /// matrix would produce.
+  int lu_cache_capacity = kDefaultLuCacheCapacity;
 
   /// Factorization kernel. Auto picks from the stamped structure
   /// (density/bandwidth heuristic, see sparse::analyze): small or dense

@@ -70,11 +70,9 @@ void Circuit::add_isource(const std::string& name, NodeId pos, NodeId neg, Wavef
 }
 
 void Circuit::add_switch(const std::string& name, NodeId a, NodeId b, double ron, double roff,
-                         std::function<bool(double)> control,
-                         std::function<double(double)> next_edge) {
+                         const ClockPhase& drive) {
   check_terminals(*this, a, b, name);
   require(ron > 0.0 && roff > ron, "Circuit: switch '" + name + "' needs 0 < ron < roff");
-  require(static_cast<bool>(control), "Circuit: switch '" + name + "' needs a control function");
   Switch s;
   s.name = name;
   s.a = a;
@@ -82,8 +80,7 @@ void Circuit::add_switch(const std::string& name, NodeId a, NodeId b, double ron
   s.ron = ron;
   s.roff = roff;
   s.kind = Switch::Kind::Time;
-  s.control = std::move(control);
-  s.next_edge = std::move(next_edge);
+  s.drive = drive;
   switches_.push_back(std::move(s));
 }
 
@@ -107,12 +104,10 @@ void Circuit::add_vcswitch(const std::string& name, NodeId a, NodeId b, NodeId c
 }
 
 void Circuit::add_gated_switch(const std::string& name, NodeId a, NodeId b, double ron,
-                               double roff, std::function<bool(double)> control,
-                               std::function<double(double)> next_edge, NodeId cp, NodeId cn,
+                               double roff, const ClockPhase& drive, NodeId cp, NodeId cn,
                                double vth, double vhyst) {
   check_terminals(*this, a, b, name);
   require(ron > 0.0 && roff > ron, "Circuit: switch '" + name + "' needs 0 < ron < roff");
-  require(static_cast<bool>(control), "Circuit: switch '" + name + "' needs a control function");
   require(vhyst >= 0.0, "Circuit: switch '" + name + "' needs non-negative hysteresis");
   Switch s;
   s.name = name;
@@ -121,8 +116,7 @@ void Circuit::add_gated_switch(const std::string& name, NodeId a, NodeId b, doub
   s.ron = ron;
   s.roff = roff;
   s.kind = Switch::Kind::TimeVoltage;
-  s.control = std::move(control);
-  s.next_edge = std::move(next_edge);
+  s.drive = drive;
   s.cp = cp;
   s.cn = cn;
   s.vth = vth;

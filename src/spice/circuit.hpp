@@ -11,11 +11,12 @@
 // comparators built at circuit level).
 #pragma once
 
-#include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "spice/phase_clock.hpp"
 #include "spice/waveform.hpp"
 
 namespace ivory::spice {
@@ -66,11 +67,9 @@ struct Switch {
   double ron, roff;
   Kind kind;
 
-  // Time-controlled: closed when control(t) is true. `next_edge` optionally
-  // reports the next toggle instant after t so the transient driver can land
-  // steps exactly on switching edges.
-  std::function<bool(double)> control;
-  std::function<double(double)> next_edge;
+  // Time-controlled (Time, TimeVoltage): closed while its clock phase is.
+  // The transient engine lands steps exactly on the phase's edges.
+  std::optional<ClockPhase> drive;
 
   // Voltage-controlled: closes when v(cp)-v(cn) > vth + vhyst/2, opens when
   // it falls below vth - vhyst/2 (evaluated from the previous accepted step).
@@ -96,21 +95,19 @@ class Circuit {
   void add_inductor_ic(const std::string& name, NodeId a, NodeId b, double henries, double i0);
   void add_vsource(const std::string& name, NodeId pos, NodeId neg, Waveform wave);
   void add_isource(const std::string& name, NodeId pos, NodeId neg, Waveform wave);
-  /// Time-controlled switch, closed when control(t) is true.
+  /// Time-controlled switch, closed while `drive` is (see PhaseClock::phase).
   void add_switch(const std::string& name, NodeId a, NodeId b, double ron, double roff,
-                  std::function<bool(double)> control,
-                  std::function<double(double)> next_edge = nullptr);
+                  const ClockPhase& drive);
   void add_vcswitch(const std::string& name, NodeId a, NodeId b, NodeId cp, NodeId cn, double vth,
                     double vhyst, double ron, double roff);
-  /// Gated switch: conducts when control(t) is true AND the hysteretic
+  /// Gated switch: conducts when `drive` is closed AND the hysteretic
   /// voltage condition v(cp)-v(cn) < vth holds (note the inverted sense
   /// versus add_vcswitch: this is an *enable-below* gate, the shape feedback
   /// comparators take in hysteretic converters — fire while the output is
   /// under the reference).
   void add_gated_switch(const std::string& name, NodeId a, NodeId b, double ron, double roff,
-                        std::function<bool(double)> control,
-                        std::function<double(double)> next_edge, NodeId cp, NodeId cn,
-                        double vth, double vhyst);
+                        const ClockPhase& drive, NodeId cp, NodeId cn, double vth,
+                        double vhyst);
 
   const std::vector<Resistor>& resistors() const { return resistors_; }
   const std::vector<Capacitor>& capacitors() const { return capacitors_; }

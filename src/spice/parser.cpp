@@ -183,8 +183,8 @@ Circuit parse_netlist(const std::string& text) {
       case 's': {
         // S<name> n+ n- ron roff CLOCK(fsw nphases duty [phase])
         // Time-controlled switch driven by a multi-phase clock: closed while
-        // its phase slot is active. Announces edges so the transient driver
-        // lands steps on them (and the keyed LU cache sees recurring steps).
+        // its phase slot is active. The transient engine lands steps on the
+        // phase's edges (and the keyed LU cache sees recurring steps).
         const double ron = value_at(tok, 3, line_no, "on-resistance");
         const double roff = value_at(tok, 4, line_no, "off-resistance");
         if (tok.size() < 6 || tok[5] != "clock")
@@ -201,8 +201,7 @@ Circuit parse_netlist(const std::string& text) {
         if (k < 0 || k >= nph || static_cast<double>(k) != k_raw)
           fail(line_no, "CLOCK phase index must be an integer in [0, nphases)");
         try {
-          const PhaseClock clk(fsw, nph, duty);
-          c.add_switch(name, a, b, ron, roff, clk.control(k), clk.edge_fn(k));
+          c.add_switch(name, a, b, ron, roff, PhaseClock(fsw, nph, duty).phase(k));
         } catch (const std::exception& e) {
           fail(line_no, std::string("bad CLOCK drive: ") + e.what());
         }

@@ -1,26 +1,27 @@
 // Multi-phase switching clocks for converter netlists.
 //
 // A PhaseClock divides the switching period into `n_phases` slots. Phase k is
-// active during [k/n, k/n + duty) of the period (shifted by `offset`
-// periods). Converter netlist builders attach phase signals to switches as
-// control + next-edge functions so the transient driver can land steps on
-// every switching edge.
+// active during [k/n, k/n + duty) of every period. A time-controlled switch is
+// driven by one phase of one clock (a ClockPhase), optionally inverted: the
+// complement switch of a buck power stage is the inverted phase, and an
+// always-on switch is a duty-1 phase. The transient engine reads each drive's
+// edges as in-period offsets, so every period repeats the same step sizes.
 #pragma once
 
 #include <cmath>
-#include <functional>
-#include <limits>
 
 #include "common/error.hpp"
 
 namespace ivory::spice {
 
+struct ClockPhase;
+
 class PhaseClock {
  public:
   /// `duty` is the fraction of the period each phase is active; it must fit
   /// in a slot (duty <= 1/n_phases) so phases never overlap.
-  PhaseClock(double freq_hz, int n_phases, double duty, double offset_periods = 0.0)
-      : period_(1.0 / freq_hz), n_(n_phases), duty_(duty), offset_(offset_periods) {
+  PhaseClock(double freq_hz, int n_phases, double duty)
+      : period_(1.0 / freq_hz), n_(n_phases), duty_(duty) {
     require(freq_hz > 0.0, "PhaseClock: frequency must be positive");
     require(n_phases >= 1, "PhaseClock: need at least one phase");
     require(duty > 0.0 && duty <= 1.0 / n_phases + 1e-12,
@@ -34,56 +35,38 @@ class PhaseClock {
 
   /// True while phase `k` is active at time t.
   bool active(int k, double t) const {
-    const double frac = phase_fraction(t);
-    const double start = static_cast<double>(k) / n_;
-    return frac >= start && frac < start + duty_;
+    double frac = t / period_;
+    frac -= std::floor(frac);
+    return frac >= on_fraction(k) && frac < off_fraction(k);
   }
 
-  /// Next time > t at which phase `k` toggles (on or off edge). An edge
-  /// within a few ULP of t counts as already passed (t typically sits
-  /// exactly on the previous edge, up to floating-point residue).
-  double next_edge(int k, double t) const {
-    const double start = static_cast<double>(k) / n_;
-    const double stop = start + duty_;
-    const double base = std::floor(t / period_ - offset_) + offset_;
-    const double tol = std::max(1e-9 * period_,
-                                8.0 * std::numeric_limits<double>::epsilon() * std::fabs(t));
-    // Candidate edges in this period and the next two (handles t sitting
-    // exactly on an edge and duty boundaries at the period wrap).
-    for (int p = 0; p < 3; ++p) {
-      const double t_on = (base + p + start) * period_;
-      const double t_off = (base + p + stop) * period_;
-      if (t_on > t + tol) return t_on;
-      if (t_off > t + tol) return t_off;
-    }
-    return t + period_;  // Unreachable in practice.
-  }
+  /// Phase `k`'s on and off edges as fractions of the period (the off edge
+  /// of the last phase may round to just past 1).
+  double on_fraction(int k) const { return static_cast<double>(k) / n_; }
+  double off_fraction(int k) const { return on_fraction(k) + duty_; }
 
-  /// Control function for phase `k`, bindable to Circuit::add_switch.
-  std::function<bool(double)> control(int k) const {
-    check_phase(k);
-    return [*this, k](double t) { return active(k, t); };
-  }
-
-  /// Next-edge function for phase `k`.
-  std::function<double(double)> edge_fn(int k) const {
-    check_phase(k);
-    return [*this, k](double t) { return next_edge(k, t); };
-  }
+  /// The drive of a switch closed while phase `k` is active, or while it is
+  /// not when `inverted`.
+  ClockPhase phase(int k, bool inverted = false) const;
 
  private:
-  void check_phase(int k) const { require(k >= 0 && k < n_, "PhaseClock: phase out of range"); }
-
-  double phase_fraction(double t) const {
-    double frac = t / period_ - offset_;
-    frac -= std::floor(frac);
-    return frac;
-  }
-
   double period_;
   int n_;
   double duty_;
-  double offset_;
 };
+
+struct ClockPhase {
+  PhaseClock clock;
+  int phase = 0;
+  bool inverted = false;
+
+  /// Closed state at time t.
+  bool closed(double t) const { return clock.active(phase, t) != inverted; }
+};
+
+inline ClockPhase PhaseClock::phase(int k, bool inverted) const {
+  require(k >= 0 && k < n_, "PhaseClock: phase out of range");
+  return ClockPhase{*this, k, inverted};
+}
 
 }  // namespace ivory::spice

@@ -96,6 +96,21 @@ TEST(CliUsage, SchemaViolationsExit2NamingTheField) {
   }
 }
 
+TEST(CliUsage, TransientLuCacheAboveBoundExits2NamingTheField) {
+  // --lu-cache goes through the request schema's bound: 64 runs, 65 is a
+  // usage error naming the field.
+  const auto transient = [](int lu_cache) {
+    return run_command("printf 'v1 in 0 DC 1\\nr1 in out 1k\\nc1 out 0 1n\\n' | " +
+                       std::string(IVORY_CLI_BIN) +
+                       " transient --netlist /dev/stdin --tstop 1u --dt 10n --lu-cache " +
+                       std::to_string(lu_cache) + " 2>&1 1>/dev/null");
+  };
+  EXPECT_EQ(transient(64).exit_code, 0);
+  const RunResult r = transient(65);
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.output.find("'lu_cache'"), std::string::npos) << r.output;
+}
+
 TEST(CliUsage, DicksonFamilyIsEvaluatedNotReplacedByAuto) {
   // --family dickson reaches the model, whose cap-rating check rejects the
   // 3:1 design: an evaluation error (exit 1), not the auto family's table.

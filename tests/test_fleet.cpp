@@ -32,12 +32,16 @@ using namespace std::chrono_literals;
 const std::string kFastRequest =
     R"({"op":"ldo_static","id":1,"vin":1.2,"vout":1.0,"iload":5})";
 
-/// A transient long enough (~3.2M BE steps, ~0.7 s of solve on this class
-/// of machine) to reliably straddle a SIGKILL or a drain issued a few
-/// hundred milliseconds after submission.
+/// A transient long enough (~3.2M BE steps of a 7-unknown switched stage
+/// behind an RL input filter, 0.75-0.8 s of solve in a RelWithDebInfo build
+/// on a shared 4-vCPU x86 host) to reliably straddle a SIGKILL or a drain
+/// issued a few hundred milliseconds after submission. The step count sits
+/// near the per-request sample budget, so the circuit, not tstop, sets the
+/// solve time.
 const std::string kSlowRequest =
     R"({"op":"transient","id":2,"topology":"spice",)"
-    R"("netlist":"vin in 0 DC 3.3\ns1 in fly 0.01 1e8 CLOCK(20meg 2 0.48 0)\n)"
+    R"("netlist":"vs src 0 DC 3.3\nrs src a 0.01\nls a in 1n\ncin in 0 1u\n)"
+    R"(s1 in fly 0.01 1e8 CLOCK(20meg 2 0.48 0)\n)"
     R"(s2 fly out 0.01 1e8 CLOCK(20meg 2 0.48 1)\ncfly fly 0 100n IC=1.65\n)"
     R"(cout out 0 100n IC=1.65\nrl out 0 3.3\n.end\n",)"
     R"("tstop":4e-4,"dt":1.25e-10,"method":"be","uic":true,"record":["out"]})";

@@ -81,6 +81,25 @@ TEST(PdnTransient, LoadStepCausesDroopBeyondDc) {
   EXPECT_LT(min_value(post), v_dc_final - 1e-3);
 }
 
+TEST(PdnTransient, ZeroOrderHoldPlaysSampleKAtGridTimeK) {
+  // The transient engine forms t as a running sum of dt, which often lands a
+  // few ULP short of k*dt: floor(t / dt) played sample k-1 on 1,266 of 5,000
+  // steps at dt = 2 ns and on 8,646 of 20,000 at 1 ns.
+  for (const double dt : {1e-9, 2e-9, 4e-9}) {
+    const std::size_t n = 20001;
+    double t = 0.0;
+    for (std::size_t k = 1; k < n; ++k) {
+      t += dt;
+      ASSERT_EQ(hold_index(t, dt, n), k) << "running sum, step " << k << ", dt " << dt;
+      ASSERT_EQ(hold_index(static_cast<double>(k) * dt, dt, n), k) << "k*dt, step " << k;
+      ASSERT_EQ(hold_index((static_cast<double>(k) - 0.5) * dt, dt, n), k - 1)
+          << "between samples, step " << k;
+    }
+  }
+  EXPECT_EQ(hold_index(-1e-9, 1e-9, 4), 0u);
+  EXPECT_EQ(hold_index(1.0, 1e-9, 4), 3u);  // Held past the last sample.
+}
+
 TEST(PdnDomains, SymmetricSlicingPreservesSharedImpedanceScale) {
   const PdnParams p = PdnParams::gpuvolt_default();
   const PdnParams p4 = p.per_domain(4);

@@ -123,8 +123,8 @@ spice::Circuit random_switched_circuit(Pcg32& rng) {
   c.add_vsource("vin", in, spice::kGround, spice::Waveform::dc(rng.uniform(2.0, 5.0)));
   const spice::PhaseClock clk(rng.uniform(5e6, 40e6), 2, rng.uniform(0.35, 0.48));
   const double ron = rng.uniform(0.005, 0.05);
-  c.add_switch("s1", in, fly, ron, 1e8, clk.control(0), clk.edge_fn(0));
-  c.add_switch("s2", fly, out, ron, 1e8, clk.control(1), clk.edge_fn(1));
+  c.add_switch("s1", in, fly, ron, 1e8, clk.phase(0));
+  c.add_switch("s2", fly, out, ron, 1e8, clk.phase(1));
   c.add_capacitor_ic("cfly", fly, spice::kGround, rng.uniform(20e-9, 200e-9), 1.5);
   c.add_capacitor_ic("cout", out, spice::kGround, rng.uniform(20e-9, 200e-9), 1.5);
   // RC ladder load of random depth.

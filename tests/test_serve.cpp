@@ -794,6 +794,13 @@ TEST(Serve, SpiceTransientSchemaIsStrict) {
   EXPECT_FALSE(response_ok(bad_cap));
   EXPECT_NE(parsed(bad_cap).find("error")->find("detail")->as_string().find("lu_cache"),
             std::string::npos);
+  // A capacity above the bound: one run could otherwise keep any number of
+  // factorizations (~5.8 MB each for a 64x64 grid).
+  const std::string big_cap =
+      svc.handle_line(spice_transient_request(spice::kMaxLuCacheCapacity + 1, 3));
+  EXPECT_FALSE(response_ok(big_cap));
+  EXPECT_NE(parsed(big_cap).find("error")->find("detail")->as_string().find("lu_cache"),
+            std::string::npos);
   // Step budget: tstop/dt beyond max_samples must be rejected, not simulated.
   ServiceOptions tiny;
   tiny.max_samples = 100;

@@ -125,7 +125,7 @@ spice::Circuit ladder_circuit(int n_stages, bool with_switch) {
   c.add_isource("load", prev, spice::kGround, spice::Waveform::dc(0.02));
   if (with_switch) {
     const spice::PhaseClock clk(50e6, 1, 0.5);
-    c.add_switch("sw", mid_a, mid_b, 0.01, 1e6, clk.control(0), clk.edge_fn(0));
+    c.add_switch("sw", mid_a, mid_b, 0.01, 1e6, clk.phase(0));
   }
   return c;
 }
@@ -511,8 +511,7 @@ TEST(SparseCache, ByteIdenticalAcrossCapacities) {
   // factorization.
   spice::Circuit grid = pdn::make_grid_circuit(seeded_grid(41, 32));
   const spice::PhaseClock clk(500e6, 1, 0.5);
-  grid.add_switch("strap", grid.node("g8_8"), grid.node("g24_24"), 0.05, 1e6, clk.control(0),
-                  clk.edge_fn(0));
+  grid.add_switch("strap", grid.node("g8_8"), grid.node("g24_24"), 0.05, 1e6, clk.phase(0));
   ASSERT_TRUE(sparse::analyze(spice::dc_matrix(grid), sparse::Kernel::Auto)->multifrontal());
   spice::TranSpec grid_spec = base_spec(sparse::Kernel::Auto);
   grid_spec.tstop = 10e-9;
@@ -527,8 +526,7 @@ TEST(SparseCache, ByteIdenticalAcrossCapacities) {
   // Irregular enough for Gilbert-Peierls.
   spice::Circuit irregular = random_circuit(3, 500);
   irregular.add_switch("sw", irregular.node("n10"), irregular.node("n400"), 0.01, 1e6,
-                       spice::PhaseClock(50e6, 1, 0.5).control(0),
-                       spice::PhaseClock(50e6, 1, 0.5).edge_fn(0));
+                       spice::PhaseClock(50e6, 1, 0.5).phase(0));
   ASSERT_FALSE(
       sparse::analyze(spice::dc_matrix(irregular), sparse::Kernel::Sparse)->multifrontal());
 

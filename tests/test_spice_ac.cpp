@@ -95,7 +95,8 @@ TEST(Ac, SwitchStateFrozenFromTimeZero) {
   Waveform src = Waveform::dc(0.0);
   src.set_ac_magnitude(1.0);
   c.add_vsource("v1", in, kGround, src);
-  c.add_switch("s1", in, out, 1.0, 1e12, [](double) { return true; });
+  const PhaseClock always(1e6, 1, 1.0);  // A duty-1 phase: closed all period.
+  c.add_switch("s1", in, out, 1.0, 1e12, always.phase(0));
   c.add_resistor("r1", out, kGround, 1000.0);
   const AcResult closed = ac_analysis(c, {1e6}, {out});
   EXPECT_NEAR(std::abs(closed.at(out)[0]), 1000.0 / 1001.0, 1e-6);
@@ -104,7 +105,7 @@ TEST(Ac, SwitchStateFrozenFromTimeZero) {
   const NodeId in2 = c2.node("in");
   const NodeId out2 = c2.node("out");
   c2.add_vsource("v1", in2, kGround, src);
-  c2.add_switch("s1", in2, out2, 1.0, 1e12, [](double) { return false; });
+  c2.add_switch("s1", in2, out2, 1.0, 1e12, always.phase(0, /*inverted=*/true));
   c2.add_resistor("r1", out2, kGround, 1000.0);
   const AcResult open = ac_analysis(c2, {1e6}, {out2});
   EXPECT_LT(std::abs(open.at(out2)[0]), 1e-6);

@@ -179,7 +179,8 @@ TEST(DcOp, TimeSwitchUsesStateAtZero) {
   const NodeId in = c.node("in");
   const NodeId out = c.node("out");
   c.add_vsource("v1", in, kGround, Waveform::dc(1.0));
-  c.add_switch("s1", in, out, 1.0, 1e9, [](double t) { return t >= 1e-6; });
+  // Phase 1 of a 500 kHz two-phase clock: open until t = 1 us.
+  c.add_switch("s1", in, out, 1.0, 1e9, PhaseClock(500e3, 2, 0.5).phase(1));
   c.add_resistor("r1", out, kGround, 1000.0);
   const DcResult op = dc_operating_point(c);
   EXPECT_LT(op.voltage(out), 1e-3);  // Open at t = 0.

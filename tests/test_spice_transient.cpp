@@ -167,8 +167,8 @@ TEST(Transient, TrapezoidalBeatsBackwardEulerOnSine) {
   EXPECT_LT(err_trap_half, err_trap * 0.35);
 }
 
-// A switched capacitor charge pump: switch edges must be honoured exactly via
-// next_edge, and the output must step toward the input in charge packets.
+// A switched capacitor charge pump: switch edges must be honoured exactly,
+// and the output must step toward the input in charge packets.
 TEST(Transient, SwitchedCapChargeSharing) {
   Circuit c;
   const NodeId in = c.node("in");
@@ -177,8 +177,8 @@ TEST(Transient, SwitchedCapChargeSharing) {
   const double cfly = 1e-9, cout = 10e-9;
   c.add_vsource("v1", in, kGround, Waveform::dc(1.0));
   const PhaseClock clk(1e6, 2, 0.45);
-  c.add_switch("s1", in, fly, 1.0, 1e9, clk.control(0), clk.edge_fn(0));
-  c.add_switch("s2", fly, out, 1.0, 1e9, clk.control(1), clk.edge_fn(1));
+  c.add_switch("s1", in, fly, 1.0, 1e9, clk.phase(0));
+  c.add_switch("s2", fly, out, 1.0, 1e9, clk.phase(1));
   c.add_capacitor("cfly", fly, kGround, cfly);
   c.add_capacitor("cout", out, kGround, cout);
 
@@ -205,7 +205,7 @@ TEST(Transient, EdgeAlignmentReducesStepsToHitEdges) {
   const NodeId out = c.node("out");
   c.add_vsource("v1", in, kGround, Waveform::dc(1.0));
   const PhaseClock clk(1e6, 1, 0.5);
-  c.add_switch("s1", in, out, 1.0, 1e9, clk.control(0), clk.edge_fn(0));
+  c.add_switch("s1", in, out, 1.0, 1e9, clk.phase(0));
   c.add_resistor("r1", out, kGround, 1000.0);
   TranSpec spec;
   spec.tstop = 5e-6;
@@ -311,8 +311,8 @@ TEST(Transient, AdaptiveRespectsSwitchEdges) {
     *out = c.node("out");
     c.add_vsource("v1", in, kGround, Waveform::dc(1.0));
     const PhaseClock clk(1e6, 2, 0.45);
-    c.add_switch("s1", in, fly, 1.0, 1e9, clk.control(0), clk.edge_fn(0));
-    c.add_switch("s2", fly, *out, 1.0, 1e9, clk.control(1), clk.edge_fn(1));
+    c.add_switch("s1", in, fly, 1.0, 1e9, clk.phase(0));
+    c.add_switch("s2", fly, *out, 1.0, 1e9, clk.phase(1));
     c.add_capacitor("cfly", fly, kGround, 1e-9);
     c.add_capacitor("cout", *out, kGround, 10e-9);
   };
@@ -360,7 +360,7 @@ TEST(Transient, GatedSwitchActsAsHystereticRegulator) {
   const NodeId out = c.node("out");
   c.add_vsource("v1", in, kGround, Waveform::dc(2.0));
   const PhaseClock clk(5e6, 1, 0.5);
-  c.add_gated_switch("sg", in, out, 10.0, 1e9, clk.control(0), clk.edge_fn(0), out, kGround,
+  c.add_gated_switch("sg", in, out, 10.0, 1e9, clk.phase(0), out, kGround,
                      /*vth=*/1.0, /*vhyst=*/0.01);
   c.add_capacitor("c1", out, kGround, 10e-9);
   c.add_resistor("rl", out, kGround, 10e3);
@@ -384,7 +384,8 @@ TEST(Transient, GatedSwitchNeedsBothConditions) {
   const NodeId in = c.node("in");
   const NodeId out = c.node("out");
   c.add_vsource("v1", in, kGround, Waveform::dc(2.0));
-  c.add_gated_switch("sg", in, out, 10.0, 1e9, [](double) { return false; }, nullptr, out,
+  // An inverted duty-1 phase: open all period.
+  c.add_gated_switch("sg", in, out, 10.0, 1e9, PhaseClock(1e6, 1, 1.0).phase(0, true), out,
                      kGround, 1.0, 0.01);
   c.add_capacitor("c1", out, kGround, 1e-9);
   c.add_resistor("rl", out, kGround, 1e4);

@@ -67,8 +67,9 @@ const std::string kBigSpiceRequest =
     R"("netlist":"* rc\nV1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1n\n.end",)"
     R"("tstop":5e-6,"dt":1e-10,"return_waveform":true})";
 
-/// A transient long enough (~3.2M BE steps, ~0.7 s of solve) that a cancel
-/// issued a couple hundred milliseconds in reliably lands mid-stream.
+/// A transient long enough (~3.2M BE steps; 0.8-0.95 s as a wave1 stream in
+/// a RelWithDebInfo build on a shared 4-vCPU x86 host) that a cancel issued
+/// a couple hundred milliseconds in reliably lands mid-stream.
 const std::string kSlowSpiceRequest =
     R"({"id":4,"op":"transient","topology":"spice",)"
     R"("netlist":"vin in 0 DC 3.3\ns1 in fly 0.01 1e8 CLOCK(20meg 2 0.48 0)\n)"

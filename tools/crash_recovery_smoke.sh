@@ -61,12 +61,12 @@ worker_pids() {
   pgrep -f "serve --socket $SOCK\.w" || true
 }
 
-# A transient long enough (~3.2M implicit-Euler steps, about 0.35-0.4 s of
-# solve in a RelWithDebInfo build on a shared 4-vCPU x86 host, longer under
-# load or a sanitizer) that kill -9 lands while it is still being computed.
-# The step count is near the per-request sample budget, so the kill comes
-# early instead of the request growing.
-SLOW_REQ='{"op":"transient","id":7,"topology":"spice","netlist":"vin in 0 DC 3.3\ns1 in fly 0.01 1e8 CLOCK(20meg 2 0.48 0)\ns2 fly out 0.01 1e8 CLOCK(20meg 2 0.48 1)\ncfly fly 0 100n IC=1.65\ncout out 0 100n IC=1.65\nrl out 0 3.3\n.end\n","tstop":4e-4,"dt":1.25e-10,"method":"be","uic":true,"record":["out"]}'
+# A transient long enough (~3.2M implicit-Euler steps of a 7-unknown switched
+# stage behind an RL input filter, 0.75-0.8 s of solve in a RelWithDebInfo
+# build on a shared 4-vCPU x86 host, longer under load or a sanitizer) that
+# kill -9 lands while it is still being computed. The step count is near the
+# per-request sample budget, so the circuit, not tstop, sets the solve time.
+SLOW_REQ='{"op":"transient","id":7,"topology":"spice","netlist":"vs src 0 DC 3.3\nrs src a 0.01\nls a in 1n\ncin in 0 1u\ns1 in fly 0.01 1e8 CLOCK(20meg 2 0.48 0)\ns2 fly out 0.01 1e8 CLOCK(20meg 2 0.48 1)\ncfly fly 0 100n IC=1.65\ncout out 0 100n IC=1.65\nrl out 0 3.3\n.end\n","tstop":4e-4,"dt":1.25e-10,"method":"be","uic":true,"record":["out"]}'
 REF_REQ='{"op":"sc_static","id":1,"n":3,"m":1,"cfly":4e-6,"gtot":15e3,"fsw":80e6,"iload":20}'
 
 # --- 1. fleet up -----------------------------------------------------------
