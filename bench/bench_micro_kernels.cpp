@@ -1,12 +1,17 @@
 // Google-benchmark microbenchmarks of Ivory's computational kernels: the
 // charge-multiplier solver, static analyses, the cycle-by-cycle dynamic
-// model, one MNA transient step stream, and the FFT.
+// model, one MNA transient step stream, the FFT, and the netlist and
+// request-line readers on a 64x64 grid.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
 #include "common/fft.hpp"
+#include "common/json.hpp"
 #include "core/ivory.hpp"
+#include "perfbench_grid.hpp"
+#include "serve/service.hpp"
+#include "spice/parser.hpp"
 
 using namespace ivory;
 
@@ -87,6 +92,28 @@ void BM_SpiceTransient_RlcSteps(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 10000);
 }
 BENCHMARK(BM_SpiceTransient_RlcSteps);
+
+// The two text layers of a 64x64 grid transient request (perfbench's
+// transient_mix sends 0.48 MB lines of this grid): the netlist reader, and
+// the service's decode of the request line (JSON parse, canonical form and
+// cache key).
+void BM_ParseNetlist_Grid64(benchmark::State& state) {
+  const std::string text = perfbench_grid_netlist(64);
+  for (auto _ : state) benchmark::DoNotOptimize(spice::parse_netlist(text));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_ParseNetlist_Grid64)->Unit(benchmark::kMillisecond);
+
+void BM_DecodeLine_Grid64(benchmark::State& state) {
+  const std::string line =
+      R"({"id":1,"op":"transient","topology":"spice","netlist":)" +
+      json::escape_string(perfbench_grid_netlist(64)) +
+      R"(,"tstop":1e-8,"dt":1e-10,"record":["g32_32"]})";
+  serve::Service service;
+  for (auto _ : state) benchmark::DoNotOptimize(service.decode(line));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * line.size()));
+}
+BENCHMARK(BM_DecodeLine_Grid64)->Unit(benchmark::kMillisecond);
 
 void BM_Fft64k(benchmark::State& state) {
   std::vector<double> sig(65536);

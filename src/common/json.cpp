@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 
 namespace ivory::json {
 
@@ -45,6 +46,43 @@ void append_utf8(std::string& out, std::uint32_t cp) {
   }
 }
 
+// The end of the run of characters a JSON string holds unescaped: the first
+// '"', '\\' or control character at or after `p`, or `end`. Eight bytes a
+// step while none of them is one.
+const char* plain_run_end(const char* p, const char* end) {
+  constexpr std::uint64_t ones = 0x0101010101010101ULL, high = ones << 7;
+  for (std::uint64_t w, q, b; end - p >= 8; p += 8) {
+    std::memcpy(&w, p, sizeof w);
+    q = w ^ (ones * '"');
+    b = w ^ (ones * '\\');
+    if ((((q - ones) & ~q) | ((b - ones) & ~b) | ((w - ones * 0x20) & ~w)) & high) break;
+  }
+  while (p != end && *p != '"' && *p != '\\' && static_cast<unsigned char>(*p) >= 0x20) ++p;
+  return p;
+}
+
+// The characters with a one-letter escape, and their letters.
+constexpr char kEscaped[] = "\"\\/\b\f\n\r\t", kEscapeLetter[] = "\"\\/bfnrt";
+
+// Appends `s` as a JSON string literal, quotes included, each plain run in
+// one append; control characters without a letter go out as \u00XX.
+void append_escaped(std::string& out, std::string_view s) {
+  out.push_back('"');
+  for (const char *p = s.data(), *end = p + s.size(), *run = p;; run = ++p) {
+    out.append(run, p = plain_run_end(p, end));
+    if (p == end) break;
+    out.push_back('\\');
+    if (const char* k = *p ? std::strchr(kEscaped, *p) : nullptr) {
+      out.push_back(kEscapeLetter[k - kEscaped]);
+    } else {
+      out += "u00";
+      out.push_back("0123456789abcdef"[(*p >> 4) & 0xF]);
+      out.push_back("0123456789abcdef"[*p & 0xF]);
+    }
+  }
+  out.push_back('"');
+}
+
 void write_value(std::string& out, const Value& v, bool canonical);
 
 void write_object(std::string& out, const Value::Object& o, bool canonical) {
@@ -56,14 +94,14 @@ void write_object(std::string& out, const Value::Object& o, bool canonical) {
               [&](std::size_t a, std::size_t b) { return o[a].first < o[b].first; });
     for (std::size_t k = 0; k < idx.size(); ++k) {
       if (k) out.push_back(',');
-      out += escape_string(o[idx[k]].first);
+      append_escaped(out, o[idx[k]].first);
       out.push_back(':');
       write_value(out, o[idx[k]].second, canonical);
     }
   } else {
     for (std::size_t k = 0; k < o.size(); ++k) {
       if (k) out.push_back(',');
-      out += escape_string(o[k].first);
+      append_escaped(out, o[k].first);
       out.push_back(':');
       write_value(out, o[k].second, canonical);
     }
@@ -76,7 +114,7 @@ void write_value(std::string& out, const Value& v, bool canonical) {
     case Value::Kind::Null: out += "null"; return;
     case Value::Kind::Bool: out += v.as_bool() ? "true" : "false"; return;
     case Value::Kind::Number: append_number(out, v.as_number()); return;
-    case Value::Kind::String: out += escape_string(v.as_string()); return;
+    case Value::Kind::String: append_escaped(out, v.as_string()); return;
     case Value::Kind::Array: {
       out.push_back('[');
       const auto& a = v.as_array();
@@ -212,36 +250,30 @@ class Parser {
     ++pos_;  // opening quote
     std::string out;
     while (true) {
+      // A run of plain characters goes in with one append.
+      const char* run = s_.data() + pos_;
+      const char* run_end = plain_run_end(run, s_.data() + s_.size());
+      out.append(run, run_end);
+      pos_ += static_cast<std::size_t>(run_end - run);
       const char c = get();
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        { --pos_; fail("raw control character in string"); }
-      if (c != '\\') { out.push_back(c); continue; }
+      if (c != '\\') { --pos_; fail("raw control character in string"); }
       const char e = get();
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          const std::uint32_t hi = parse_hex4();
-          if (hi >= 0xDC00 && hi <= 0xDFFF) fail("lone low surrogate in \\u escape");
-          if (hi >= 0xD800 && hi <= 0xDBFF) {
-            if (get() != '\\' || get() != 'u')
-              { --pos_; fail("high surrogate not followed by \\u escape"); }
-            const std::uint32_t lo = parse_hex4();
-            if (lo < 0xDC00 || lo > 0xDFFF) fail("invalid low surrogate in \\u escape");
-            append_utf8(out, 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00));
-          } else {
-            append_utf8(out, hi);
-          }
-          break;
-        }
-        default: --pos_; fail("invalid escape character in string");
+      if (const char* k = e ? std::strchr(kEscapeLetter, e) : nullptr) {
+        out.push_back(kEscaped[k - kEscapeLetter]);
+        continue;
+      }
+      if (e != 'u') { --pos_; fail("invalid escape character in string"); }
+      const std::uint32_t hi = parse_hex4();
+      if (hi >= 0xDC00 && hi <= 0xDFFF) fail("lone low surrogate in \\u escape");
+      if (hi >= 0xD800 && hi <= 0xDBFF) {
+        if (get() != '\\' || get() != 'u')
+          { --pos_; fail("high surrogate not followed by \\u escape"); }
+        const std::uint32_t lo = parse_hex4();
+        if (lo < 0xDC00 || lo > 0xDFFF) fail("invalid low surrogate in \\u escape");
+        append_utf8(out, 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00));
+      } else {
+        append_utf8(out, hi);
       }
     }
   }
@@ -366,28 +398,7 @@ void append_number(std::string& out, double d) {
 std::string escape_string(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(hex[(c >> 4) & 0xF]);
-          out.push_back(hex[c & 0xF]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
+  append_escaped(out, s);
   return out;
 }
 

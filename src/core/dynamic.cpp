@@ -57,10 +57,11 @@ DynWaveform sc_cycle_response_traces(const ScDesign& d, const std::vector<double
   // The cycle loop below indexes all three traces with one shared index; a
   // length mismatch would read out of bounds, so reject it up front with the
   // offending sizes spelled out.
-  require(vin_trace.size() == i_load.size() && vref_trace.size() == i_load.size(),
-          "sc_cycle_response_traces: vin/vref/load traces must share length (got vin " +
-              std::to_string(vin_trace.size()) + ", vref " + std::to_string(vref_trace.size()) +
-              ", load " + std::to_string(i_load.size()) + ")");
+  if (vin_trace.size() != i_load.size() || vref_trace.size() != i_load.size())
+    throw InvalidParameter(
+        "sc_cycle_response_traces: vin/vref/load traces must share length (got vin " +
+        std::to_string(vin_trace.size()) + ", vref " + std::to_string(vref_trace.size()) +
+        ", load " + std::to_string(i_load.size()) + ")");
   for (double v : vin_trace)
     require(v > 0.0, "sc_cycle_response_traces: vin must stay positive");
   const double vin_v = vin_trace.front();

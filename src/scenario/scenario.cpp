@@ -158,7 +158,8 @@ StateEval evaluate_cell(const core::SystemParams& sys, const ScenarioSpec& spec,
         break;
       }
     }
-    require(eta > 0.0, "scenario: non-positive efficiency in state '" + st.name + "'");
+    if (!(eta > 0.0))
+      throw InvalidParameter("scenario: non-positive efficiency in state '" + st.name + "'");
     // Fleet-wide input power at the same per-IVR efficiency; the PDN carries
     // the high-voltage input current (the IVR advantage: vin/vout times less
     // current crossing the board).
@@ -188,14 +189,15 @@ ScenarioReport evaluate_scenario(const core::SystemParams& sys, core::IvrTopolog
   double frac_total = 0.0, ivr_frac = 0.0;
   for (std::size_t i = 0; i < spec.domains.size(); ++i) {
     const DomainSpec& d = spec.domains[i];
-    require(d.power_frac > 0.0, "evaluate_scenario: domain " + std::to_string(i) +
-                                    " (" + d.name + "): power_frac must be positive");
+    if (!(d.power_frac > 0.0))
+      throw InvalidParameter("evaluate_scenario: domain " + std::to_string(i) + " (" + d.name +
+                             "): power_frac must be positive");
     frac_total += d.power_frac;
     if (d.delivery == Delivery::OnChipIvr) ivr_frac += d.power_frac;
   }
-  require(std::fabs(frac_total - 1.0) <= 1e-9,
-          "evaluate_scenario: domain power fractions sum to " + std::to_string(frac_total) +
-              ", expected 1");
+  if (!(std::fabs(frac_total - 1.0) <= 1e-9))
+    throw InvalidParameter("evaluate_scenario: domain power fractions sum to " +
+                           std::to_string(frac_total) + ", expected 1");
 
   ScenarioReport rep;
   rep.scenario = spec.name;

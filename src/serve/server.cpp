@@ -70,8 +70,9 @@ void Server::start() {
   ::signal(SIGPIPE, SIG_IGN);
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  require(opt_.socket_path.size() < sizeof(addr.sun_path),
-          "serve: socket path longer than sockaddr_un allows: " + opt_.socket_path);
+  if (opt_.socket_path.size() >= sizeof(addr.sun_path))
+    throw InvalidParameter("serve: socket path longer than sockaddr_un allows: " +
+                           opt_.socket_path);
   std::strncpy(addr.sun_path, opt_.socket_path.c_str(), sizeof(addr.sun_path) - 1);
 
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -194,8 +195,8 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
 BlockingClient::BlockingClient(const std::string& socket_path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  require(socket_path.size() < sizeof(addr.sun_path),
-          "serve: socket path longer than sockaddr_un allows: " + socket_path);
+  if (socket_path.size() >= sizeof(addr.sun_path))
+    throw InvalidParameter("serve: socket path longer than sockaddr_un allows: " + socket_path);
   std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
   fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd_ < 0) sys_fail("socket");

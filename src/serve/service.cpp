@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <chrono>
+#include <cstdio>
 
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
@@ -160,6 +161,18 @@ SpicePrep prepare_spice(const TransientParams& p, std::size_t max_samples) {
           "transient: tstop/dt exceeds the per-request sample budget");
   SpicePrep sp;
   sp.ckt = spice::parse_netlist(p.netlist);
+  // Every clock edge is a step too: refuse a clock that lands more often than
+  // the budget allows before the first step.
+  const spice::StepBound bound = spice::step_bound(sp.ckt, p.tstop_s, p.dt_s);
+  if (bound.busiest >= 0 && bound.steps > static_cast<double>(max_samples)) {
+    const spice::Switch& s = sp.ckt.switches()[static_cast<std::size_t>(bound.busiest)];
+    char clock[96];
+    std::snprintf(clock, sizeof clock, "%g Hz clock takes up to %.4g steps",
+                  s.drive->clock.frequency(), bound.steps);
+    throw InvalidParameter("transient: switch '" + s.name + "' on a " + clock +
+                           ", above the per-request sample budget of " +
+                           std::to_string(max_samples));
+  }
   sp.spec.tstop = p.tstop_s;
   sp.spec.dt = p.dt_s;
   sp.spec.method = p.trapezoidal ? spice::Integrator::Trapezoidal

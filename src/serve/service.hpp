@@ -46,7 +46,8 @@ struct SpicePrep {
 };
 
 /// Parses the netlist and resolves the recorded nodes. Throws when
-/// tstop/dt exceeds `max_samples`, or on a bad netlist or node name.
+/// tstop/dt, or the step bound its clock edges add to it (spice::step_bound),
+/// exceeds `max_samples`, or on a bad netlist or node name.
 SpicePrep prepare_spice(const TransientParams& p, std::size_t max_samples);
 
 struct ServiceOptions {

@@ -26,8 +26,8 @@ namespace {
 void fill_addr(sockaddr_un& addr, const std::string& path) {
   addr = {};
   addr.sun_family = AF_UNIX;
-  require(path.size() < sizeof(addr.sun_path),
-          "fleet: socket path longer than sockaddr_un allows: " + path);
+  if (path.size() >= sizeof(addr.sun_path))
+    throw InvalidParameter("fleet: socket path longer than sockaddr_un allows: " + path);
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
 }
 

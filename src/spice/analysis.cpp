@@ -892,6 +892,23 @@ TranResult transient(const Circuit& c, const TranSpec& spec) {
   return res;
 }
 
+StepBound step_bound(const Circuit& c, double tstop, double dt) {
+  std::vector<int> frame_of;
+  const std::vector<ClockFrame> frames = clock_frames(c, frame_of);
+  StepBound bound{tstop / dt + 1.0, -1};
+  double most = 0.0;
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const double landings =
+        static_cast<double>(frames[f].edges.size()) * std::ceil(tstop / frames[f].period);
+    bound.steps += landings;
+    if (landings <= most) continue;
+    most = landings;
+    bound.busiest = static_cast<int>(
+        std::find(frame_of.begin(), frame_of.end(), static_cast<int>(f)) - frame_of.begin());
+  }
+  return bound;
+}
+
 // ---------------------------------------------------------------------------
 // AC analysis
 // ---------------------------------------------------------------------------

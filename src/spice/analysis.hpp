@@ -138,6 +138,15 @@ struct TranResult {
 
 TranResult transient(const Circuit& circuit, const TranSpec& spec);
 
+/// Upper bound on the steps transient() takes to `tstop` at step `dt`: tstop/dt + 1, plus
+/// each distinct clock period's in-period edges per period begun. `busiest` is a switch on
+/// the clock adding the most landings (-1 when none is clocked).
+struct StepBound {
+  double steps = 0.0;
+  int busiest = -1;
+};
+StepBound step_bound(const Circuit& circuit, double tstop, double dt);
+
 struct AcResult {
   std::vector<double> freq_hz;
   std::vector<NodeId> nodes;

@@ -4,38 +4,43 @@
 
 namespace ivory::spice {
 
-NodeId Circuit::node(const std::string& name) {
+NodeId Circuit::node(std::string_view name) {
   const auto it = by_name_.find(name);
   if (it != by_name_.end()) return it->second;
   const NodeId id = static_cast<NodeId>(names_.size());
-  names_.push_back(name);
-  by_name_.emplace(name, id);
+  names_.emplace_back(name);
+  by_name_.emplace(names_.back(), id);
   return id;
 }
 
-NodeId Circuit::find_node(const std::string& name) const {
+NodeId Circuit::find_node(std::string_view name) const {
   const auto it = by_name_.find(name);
-  require(it != by_name_.end(), "Circuit: unknown node '" + name + "'");
+  if (it == by_name_.end())
+    throw InvalidParameter("Circuit: unknown node '" + std::string(name) + "'");
   return it->second;
 }
 
 namespace {
 void check_terminals(const Circuit& c, NodeId a, NodeId b, const std::string& name) {
-  require(a >= 0 && a < c.node_count() && b >= 0 && b < c.node_count(),
-          "Circuit: element '" + name + "' references an unknown node");
-  require(a != b, "Circuit: element '" + name + "' has both terminals on the same node");
+  if (!(a >= 0 && a < c.node_count() && b >= 0 && b < c.node_count()))
+    throw InvalidParameter("Circuit: element '" + name + "' references an unknown node");
+  if (a == b)
+    throw InvalidParameter("Circuit: element '" + name +
+                           "' has both terminals on the same node");
 }
 }  // namespace
 
 void Circuit::add_resistor(const std::string& name, NodeId a, NodeId b, double ohms) {
   check_terminals(*this, a, b, name);
-  require(ohms > 0.0, "Circuit: resistor '" + name + "' must have positive resistance");
+  if (!(ohms > 0.0))
+    throw InvalidParameter("Circuit: resistor '" + name + "' must have positive resistance");
   resistors_.push_back({name, a, b, ohms});
 }
 
 void Circuit::add_capacitor(const std::string& name, NodeId a, NodeId b, double farads) {
   check_terminals(*this, a, b, name);
-  require(farads > 0.0, "Circuit: capacitor '" + name + "' must have positive capacitance");
+  if (!(farads > 0.0))
+    throw InvalidParameter("Circuit: capacitor '" + name + "' must have positive capacitance");
   capacitors_.push_back({name, a, b, farads, 0.0, false});
 }
 
@@ -48,7 +53,8 @@ void Circuit::add_capacitor_ic(const std::string& name, NodeId a, NodeId b, doub
 
 void Circuit::add_inductor(const std::string& name, NodeId a, NodeId b, double henries) {
   check_terminals(*this, a, b, name);
-  require(henries > 0.0, "Circuit: inductor '" + name + "' must have positive inductance");
+  if (!(henries > 0.0))
+    throw InvalidParameter("Circuit: inductor '" + name + "' must have positive inductance");
   inductors_.push_back({name, a, b, henries, 0.0, false});
 }
 
@@ -69,59 +75,36 @@ void Circuit::add_isource(const std::string& name, NodeId pos, NodeId neg, Wavef
   isources_.push_back({name, pos, neg, std::move(wave)});
 }
 
+namespace {
+// A switch's terminal, resistance and hysteresis checks (an ungated switch
+// carries vhyst 0).
+Switch checked(const Circuit& c, Switch s) {
+  check_terminals(c, s.a, s.b, s.name);
+  if (!(s.ron > 0.0 && s.roff > s.ron))
+    throw InvalidParameter("Circuit: switch '" + s.name + "' needs 0 < ron < roff");
+  if (!(s.vhyst >= 0.0))
+    throw InvalidParameter("Circuit: switch '" + s.name + "' needs non-negative hysteresis");
+  return s;
+}
+}  // namespace
+
 void Circuit::add_switch(const std::string& name, NodeId a, NodeId b, double ron, double roff,
                          const ClockPhase& drive) {
-  check_terminals(*this, a, b, name);
-  require(ron > 0.0 && roff > ron, "Circuit: switch '" + name + "' needs 0 < ron < roff");
-  Switch s;
-  s.name = name;
-  s.a = a;
-  s.b = b;
-  s.ron = ron;
-  s.roff = roff;
-  s.kind = Switch::Kind::Time;
-  s.drive = drive;
-  switches_.push_back(std::move(s));
+  switches_.push_back(checked(
+      *this, {name, a, b, ron, roff, Switch::Kind::Time, drive, kGround, kGround, 0.0, 0.0}));
 }
 
 void Circuit::add_vcswitch(const std::string& name, NodeId a, NodeId b, NodeId cp, NodeId cn,
                            double vth, double vhyst, double ron, double roff) {
-  check_terminals(*this, a, b, name);
-  require(ron > 0.0 && roff > ron, "Circuit: switch '" + name + "' needs 0 < ron < roff");
-  require(vhyst >= 0.0, "Circuit: switch '" + name + "' needs non-negative hysteresis");
-  Switch s;
-  s.name = name;
-  s.a = a;
-  s.b = b;
-  s.ron = ron;
-  s.roff = roff;
-  s.kind = Switch::Kind::Voltage;
-  s.cp = cp;
-  s.cn = cn;
-  s.vth = vth;
-  s.vhyst = vhyst;
-  switches_.push_back(std::move(s));
+  switches_.push_back(checked(
+      *this, {name, a, b, ron, roff, Switch::Kind::Voltage, std::nullopt, cp, cn, vth, vhyst}));
 }
 
 void Circuit::add_gated_switch(const std::string& name, NodeId a, NodeId b, double ron,
                                double roff, const ClockPhase& drive, NodeId cp, NodeId cn,
                                double vth, double vhyst) {
-  check_terminals(*this, a, b, name);
-  require(ron > 0.0 && roff > ron, "Circuit: switch '" + name + "' needs 0 < ron < roff");
-  require(vhyst >= 0.0, "Circuit: switch '" + name + "' needs non-negative hysteresis");
-  Switch s;
-  s.name = name;
-  s.a = a;
-  s.b = b;
-  s.ron = ron;
-  s.roff = roff;
-  s.kind = Switch::Kind::TimeVoltage;
-  s.drive = drive;
-  s.cp = cp;
-  s.cn = cn;
-  s.vth = vth;
-  s.vhyst = vhyst;
-  switches_.push_back(std::move(s));
+  switches_.push_back(checked(
+      *this, {name, a, b, ron, roff, Switch::Kind::TimeVoltage, drive, cp, cn, vth, vhyst}));
 }
 
 int Circuit::mna_size() const {

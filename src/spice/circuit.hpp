@@ -11,8 +11,10 @@
 // comparators built at circuit level).
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -81,12 +83,12 @@ class Circuit {
  public:
   /// Returns the id for `name`, creating the node on first use. "0" and
   /// "gnd" map to ground.
-  NodeId node(const std::string& name);
+  NodeId node(std::string_view name);
   /// Number of nodes including ground.
   int node_count() const { return static_cast<int>(names_.size()); }
   const std::string& node_name(NodeId n) const { return names_.at(static_cast<size_t>(n)); }
   /// Throws InvalidParameter if `name` is unknown.
-  NodeId find_node(const std::string& name) const;
+  NodeId find_node(std::string_view name) const;
 
   void add_resistor(const std::string& name, NodeId a, NodeId b, double ohms);
   void add_capacitor(const std::string& name, NodeId a, NodeId b, double farads);
@@ -124,8 +126,12 @@ class Circuit {
   int inductor_current_index(int k) const;
 
  private:
+  // Transparent hashing, so a lookup by string_view builds no std::string.
+  struct NameHash : std::hash<std::string_view> { using is_transparent = void; };
+
   std::vector<std::string> names_{"0"};
-  std::unordered_map<std::string, NodeId> by_name_{{"0", 0}, {"gnd", 0}};
+  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>> by_name_{{"0", 0},
+                                                                              {"gnd", 0}};
 
   std::vector<Resistor> resistors_;
   std::vector<Capacitor> capacitors_;

@@ -1,8 +1,9 @@
 #include "spice/parser.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <sstream>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
@@ -12,66 +13,86 @@ namespace ivory::spice {
 
 namespace {
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char ch) { return static_cast<char>(std::tolower(ch)); });
-  return s;
-}
+char lower(char ch) { return ch >= 'A' && ch <= 'Z' ? static_cast<char>(ch + ('a' - 'A')) : ch; }
 
 [[noreturn]] void fail(int line, const std::string& msg) {
   throw StructuralError("netlist line " + std::to_string(line) + ": " + msg);
 }
 
-// Splits a line into tokens, treating '(' ')' ',' '=' as separators that are
-// themselves dropped (so "PULSE(0 1 0 ...)" and "IC=1.2" tokenize cleanly —
-// IC becomes the token "ic" followed by its value).
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char ch : line) {
-    if (std::isspace(static_cast<unsigned char>(ch)) || ch == '(' || ch == ')' || ch == ',' ||
+using Tokens = std::vector<std::string_view>;
+
+// Lower-cases `line` in place and splits it into views of its tokens. The
+// separators are C-locale whitespace ('\r' of a CRLF line too) and '(' ')'
+// ',' '=', themselves dropped: "PULSE(0 1 0 ...)" and "IC=1.2" tokenize
+// cleanly, IC becoming the token "ic" followed by its value.
+void tokenize(std::string& line, Tokens& out) {
+  out.clear();
+  std::size_t start = std::string::npos;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char ch = line[i];
+    if (ch == ' ' || (ch >= '\t' && ch <= '\r') || ch == '(' || ch == ')' || ch == ',' ||
         ch == '=') {
-      if (!cur.empty()) {
-        out.push_back(lower(cur));
-        cur.clear();
-      }
+      if (start != std::string::npos) out.emplace_back(line.data() + start, i - start);
+      start = std::string::npos;
     } else {
-      cur.push_back(ch);
+      line[i] = lower(ch);
+      if (start == std::string::npos) start = i;
     }
   }
-  if (!cur.empty()) out.push_back(lower(cur));
-  return out;
+  if (start != std::string::npos) out.emplace_back(line.data() + start, line.size() - start);
 }
 
 // Wraps parse_spice_value so a bad token surfaces as a StructuralError that
 // names the line, the role of the value, and the offending token itself —
 // "netlist line 7: bad resistance token '1x5': ...".
-double value_at(const std::vector<std::string>& tok, std::size_t i, int line, const char* what) {
+double value_at(const Tokens& tok, std::size_t i, int line, const char* what) {
   if (i >= tok.size()) fail(line, std::string("missing ") + what + " token (line has only " +
                                       std::to_string(tok.size()) + " tokens)");
   try {
     return parse_spice_value(tok[i]);
   } catch (const std::exception& e) {
-    fail(line, std::string("bad ") + what + " token '" + tok[i] + "': " + e.what());
+    fail(line, std::string("bad ") + what + " token '" + std::string(tok[i]) + "': " + e.what());
   }
+}
+
+// Reads the number at the start of `t` where std::from_chars provably agrees
+// with std::stod on value and length: a decimal literal (no '+', space, hex,
+// inf or nan) whose value is finite and above DBL_MIN or an exact zero (stod
+// refuses the subnormals from_chars returns). False leaves `t` to stod.
+bool read_decimal(std::string_view t, double& value, std::size_t& used) {
+  const std::size_t lead = t[0] == '-' ? 1 : 0;
+  const char c = lead < t.size() ? t[lead] : '\0';
+  if (!((c >= '0' && c <= '9') || c == '.')) return false;
+  if (c == '0' && lead + 1 < t.size() && lower(t[lead + 1]) == 'x') return false;
+  const auto r = std::from_chars(t.data(), t.data() + t.size(), value);
+  if (r.ec != std::errc() || !std::isfinite(value)) return false;
+  used = static_cast<std::size_t>(r.ptr - t.data());
+  if (std::fabs(value) > DBL_MIN) return true;
+  // Zero: exact only when no nonzero digit precedes the exponent.
+  const std::string_view mantissa = t.substr(0, std::min(used, t.find_first_of("eE")));
+  return value == 0.0 && mantissa.find_first_of("123456789") == std::string_view::npos;
 }
 
 }  // namespace
 
-double parse_spice_value(const std::string& token) {
+double parse_spice_value(std::string_view token) {
   require(!token.empty(), "parse_spice_value: empty token");
-  const std::string t = lower(token);
   std::size_t pos = 0;
   double value = 0.0;
-  try {
-    value = std::stod(t, &pos);
-  } catch (const std::exception&) {
-    throw InvalidParameter("parse_spice_value: unparseable value '" + token + "'");
+  if (!read_decimal(token, value, pos)) {
+    try {
+      value = std::stod(std::string(token), &pos);  // reads letters in either case
+    } catch (const std::exception&) {
+      throw InvalidParameter("parse_spice_value: unparseable value '" + std::string(token) +
+                             "'");
+    }
   }
-  const std::string suffix = t.substr(pos);
+  const std::string_view suffix = token.substr(pos);
   if (suffix.empty()) return value;
-  if (suffix.rfind("meg", 0) == 0) return value * 1e6;
-  switch (suffix[0]) {
+  const char unit = lower(suffix[0]);
+  if (unit == 'm' && suffix.size() >= 3 && lower(suffix[1]) == 'e' && lower(suffix[2]) == 'g')
+    return value * 1e6;
+  switch (unit) {
     case 'f': return value * 1e-15;
     case 'p': return value * 1e-12;
     case 'n': return value * 1e-9;
@@ -81,15 +102,16 @@ double parse_spice_value(const std::string& token) {
     case 'g': return value * 1e9;
     case 't': return value * 1e12;
     default:
-      throw InvalidParameter("parse_spice_value: unknown suffix in '" + token + "'");
+      throw InvalidParameter("parse_spice_value: unknown suffix in '" + std::string(token) +
+                             "'");
   }
 }
 
 namespace {
 
-Waveform parse_source(const std::vector<std::string>& tok, std::size_t i, int line) {
+Waveform parse_source(const Tokens& tok, std::size_t i, int line) {
   if (i >= tok.size()) fail(line, "missing source value");
-  const std::string& kind = tok[i];
+  const std::string_view kind = tok[i];
   if (kind == "dc") {
     if (i + 1 >= tok.size()) fail(line, "DC needs a value");
     return Waveform::dc(value_at(tok, i + 1, line, "DC value"));
@@ -129,22 +151,26 @@ Waveform parse_source(const std::vector<std::string>& tok, std::size_t i, int li
 
 }  // namespace
 
-Circuit parse_netlist(const std::string& text) {
+Circuit parse_netlist(std::string_view text) {
   Circuit c;
-  std::istringstream in(text);
-  std::string raw;
+  std::string raw;  // The current line, lower-cased in place by tokenize.
+  Tokens tok;
   int line_no = 0;
-  while (std::getline(in, raw)) {
+  // Lines end at '\n' only, as std::getline splits them.
+  for (std::size_t at = 0; at < text.size();) {
+    const std::size_t end = std::min(text.find('\n', at), text.size());
+    raw.assign(text.substr(at, end - at));
+    at = end + 1;
     ++line_no;
-    const std::vector<std::string> tok = tokenize(raw);
+    tokenize(raw, tok);
     if (tok.empty() || tok[0][0] == '*') continue;
     if (tok[0] == ".end") break;
     if (tok[0][0] == '.') continue;  // Other directives are ignored.
+    const std::string name(tok[0]);
     if (tok.size() < 4)
       fail(line_no, "element needs name, two nodes, and a value (got " +
-                        std::to_string(tok.size()) + " tokens, first '" + tok[0] + "')");
+                        std::to_string(tok.size()) + " tokens, first '" + name + "')");
 
-    const std::string& name = tok[0];
     const NodeId a = c.node(tok[1]);
     const NodeId b = c.node(tok[2]);
 

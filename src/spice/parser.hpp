@@ -14,7 +14,7 @@
 // take SPICE suffixes (f p n u m k meg g t). Parsing is case-insensitive.
 #pragma once
 
-#include <string>
+#include <string_view>
 
 #include "spice/circuit.hpp"
 
@@ -22,9 +22,11 @@ namespace ivory::spice {
 
 /// Parses `text` into a Circuit; throws StructuralError with a line number on
 /// malformed input.
-Circuit parse_netlist(const std::string& text);
+Circuit parse_netlist(std::string_view text);
 
-/// Parses a single SPICE value literal like "4.7k" or "100meg".
-double parse_spice_value(const std::string& token);
+/// Parses a single SPICE value literal like "4.7k" or "100meg": a number as
+/// std::stod reads it (so "+5" and "0x10" too, while subnormals, overflow
+/// and a missing number are refused) and then an optional suffix.
+double parse_spice_value(std::string_view token);
 
 }  // namespace ivory::spice

@@ -117,7 +117,7 @@ Node node_from_string(const std::string& name) {
   std::string digits;
   for (char ch : name)
     if (ch >= '0' && ch <= '9') digits.push_back(ch);
-  require(!digits.empty(), "tech: unparseable node name '" + name + "'");
+  if (digits.empty()) throw InvalidParameter("tech: unparseable node name '" + name + "'");
   const int nm = std::stoi(digits);
   switch (nm) {
     case 130: return Node::n130;

@@ -189,8 +189,9 @@ std::vector<PowerTrace> read_traces_csv(std::istream& in) {
       const std::size_t comma = line.find(',', pos);
       const std::string cell =
           line.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      require(!cell.empty(), "read_traces_csv: empty cell at sample " + std::to_string(row) +
-                                 ", column " + std::to_string(col));
+      if (cell.empty())
+        throw InvalidParameter("read_traces_csv: empty cell at sample " + std::to_string(row) +
+                               ", column " + std::to_string(col));
       double v = 0.0;
       try {
         std::size_t used = 0;
@@ -207,8 +208,9 @@ std::vector<PowerTrace> read_traces_csv(std::istream& in) {
         times.push_back(v);
       else
         traces[col - 1].watts.push_back(v);
-      require(comma != std::string::npos || col == n_cols - 1,
-              "read_traces_csv: row at sample " + std::to_string(row) + " has too few columns");
+      if (comma == std::string::npos && col != n_cols - 1)
+        throw InvalidParameter("read_traces_csv: row at sample " + std::to_string(row) +
+                               " has too few columns");
       pos = comma + 1;
       ++col;
     }
@@ -218,10 +220,12 @@ std::vector<PowerTrace> read_traces_csv(std::istream& in) {
   require(dt > 0.0, "read_traces_csv: time column must increase (sample 1)");
   for (std::size_t k = 1; k < times.size(); ++k) {
     const double step = times[k] - times[k - 1];
-    require(step > 0.0, "read_traces_csv: non-increasing timestamp at sample " +
-                            std::to_string(k));
-    require(std::fabs(step - dt) <= 0.01 * dt,
-            "read_traces_csv: non-uniform sampling at sample " + std::to_string(k));
+    if (!(step > 0.0))
+      throw InvalidParameter("read_traces_csv: non-increasing timestamp at sample " +
+                             std::to_string(k));
+    if (!(std::fabs(step - dt) <= 0.01 * dt))
+      throw InvalidParameter("read_traces_csv: non-uniform sampling at sample " +
+                             std::to_string(k));
   }
   for (PowerTrace& t : traces) t.dt_s = dt;
   return traces;
@@ -273,16 +277,20 @@ void check_power_states(const std::vector<PowerStateSpec>& states) {
   double total = 0.0;
   for (std::size_t i = 0; i < states.size(); ++i) {
     const PowerStateSpec& s = states[i];
-    const std::string where = "state " + std::to_string(i) +
-                              (s.name.empty() ? "" : " (" + s.name + ")");
-    require(s.v_v > 0.0 && s.f_hz > 0.0,
-            "check_power_states: " + where + ": v and f must be positive");
-    require(s.activity >= 0.0, "check_power_states: " + where + ": negative activity");
-    require(s.residency >= 0.0, "check_power_states: " + where + ": negative residency");
+    const auto where = [&] {
+      return "state " + std::to_string(i) + (s.name.empty() ? "" : " (" + s.name + ")");
+    };
+    if (!(s.v_v > 0.0 && s.f_hz > 0.0))
+      throw InvalidParameter("check_power_states: " + where() + ": v and f must be positive");
+    if (!(s.activity >= 0.0))
+      throw InvalidParameter("check_power_states: " + where() + ": negative activity");
+    if (!(s.residency >= 0.0))
+      throw InvalidParameter("check_power_states: " + where() + ": negative residency");
     total += s.residency;
   }
-  require(std::fabs(total - 1.0) <= 1e-9,
-          "check_power_states: residencies sum to " + std::to_string(total) + ", expected 1");
+  if (!(std::fabs(total - 1.0) <= 1e-9))
+    throw InvalidParameter("check_power_states: residencies sum to " + std::to_string(total) +
+                           ", expected 1");
 }
 
 std::vector<PowerStateSpec> residency_preset(const std::string& name) {

@@ -131,6 +131,19 @@ TEST(CliUsage, DynamicLoadsEveryDomainAtAnyDistribution) {
   EXPECT_GT(std::strtod(r.output.c_str() + at + 4, nullptr), 0.0) << r.output;
 }
 
+TEST(CliUsage, BatchRefusesAClockThatOutrunsTheStepBudget) {
+  // 1e6 steps of dt, but 2e9 clock landings: refused before the first step
+  // (the timeout only bounds a regression that would step through them).
+  const RunResult r = run_command(
+      "printf '%s\\n' '{\"op\":\"transient\",\"id\":1,\"topology\":\"spice\",\"netlist\":"
+      "\"v1 in 0 DC 1\\ns1 in out 1 1e9 CLOCK(1e12 2 0.5 0)\\nrl out 0 1k\\n\","
+      "\"tstop\":1e-3,\"dt\":1e-9}' | timeout 60 " +
+      std::string(IVORY_CLI_BIN) + " batch 2>/dev/null");
+  EXPECT_EQ(r.exit_code, 0);
+  EXPECT_NE(r.output.find("\"ok\":false"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("switch 's1' on a 1e+12 Hz clock"), std::string::npos) << r.output;
+}
+
 TEST(CliUsage, BatchPropagatesResponsesToStdout) {
   const RunResult r = run_command(std::string("echo '{\"op\":\"stats\",\"id\":1}' | ") +
                                   IVORY_CLI_BIN + " batch 2>/dev/null");

@@ -10,6 +10,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -224,6 +225,116 @@ TEST(Json, RejectsBadStrings) {
   EXPECT_THROW(Value::parse("\"\\q\""), ParseError);             // unknown escape
   EXPECT_THROW(Value::parse("\"unterminated"), ParseError);
   EXPECT_THROW(Value::parse(std::string("\"a\nb\"")), ParseError);  // raw control char
+}
+
+// ---------------------------------------------------------------------------
+// String edges: the parser takes plain characters a run at a time and the
+// writer escapes straight into its output, so runs that are long, that end
+// at the end of the buffer, or that hold any byte value must behave exactly
+// as a character at a time would.
+// ---------------------------------------------------------------------------
+
+// The character-at-a-time escaper the writer must match byte for byte.
+std::string reference_escape(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          static const char* hex = "0123456789abcdef";
+          out += "\\u00";
+          out.push_back(hex[(c >> 4) & 0xF]);
+          out.push_back(hex[c & 0xF]);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out + "\"";
+}
+
+// Seeded strings: every byte value, long plain runs, escapes at either end.
+std::vector<std::string> edge_strings() {
+  std::vector<std::string> out = {"", "a", "\"", "\\", std::string(1, '\0'), "\x1f", "\x7f",
+                                  "\xff", std::string(4096, 'p'), std::string(4096, 'p') + "\n",
+                                  "\n" + std::string(4096, 'p')};
+  std::string all;
+  for (int b = 0; b < 256; ++b) all.push_back(static_cast<char>(b));
+  out.push_back(all);
+  std::mt19937_64 rng(0x6a736f6e72756e73ULL);
+  for (int k = 0; k < 300; ++k) {
+    std::string s;
+    const std::size_t pieces = rng() % 8;
+    for (std::size_t p = 0; p < pieces; ++p) {
+      if (rng() % 2)
+        s.append(rng() % 200, static_cast<char>('!' + rng() % 90));  // a plain run
+      else
+        s.push_back(static_cast<char>(rng() % 256));  // any byte
+    }
+    out.push_back(s);
+  }
+  return out;
+}
+
+TEST(JsonStrings, EscapeParseRoundTripsEveryByte) {
+  for (const std::string& s : edge_strings()) {
+    EXPECT_EQ(Value::parse(Value(s).write()).as_string(), s);
+    Value::Object o;
+    o.emplace_back(s, Value(s));
+    const Value doc(std::move(o));
+    EXPECT_EQ(Value::parse(doc.write()), doc);
+    EXPECT_EQ(Value::parse(doc.write_canonical()), doc);
+  }
+}
+
+TEST(JsonStrings, WriterMatchesCharacterAtATimeEscaper) {
+  for (const std::string& s : edge_strings()) {
+    const std::string want = reference_escape(s);
+    EXPECT_EQ(escape_string(s), want);
+    EXPECT_EQ(Value(s).write(), want);
+    EXPECT_EQ(Value(s).write_canonical(), want);
+    Value::Object o;
+    o.emplace_back(s, Value(Value::Array{Value(s)}));
+    o.emplace_back(s + "z", Value(1));
+    EXPECT_EQ(Value(o).write(), "{" + want + ":[" + want + "]," + reference_escape(s + "z") + ":1}");
+    EXPECT_EQ(Value(o).write_canonical(), Value(o).write());  // already in key order
+  }
+}
+
+TEST(JsonStrings, ErrorsAfterALongPlainRunKeepMessageAndOffset) {
+  const std::string run(5000, 'x');
+  const std::size_t n = run.size();
+  struct Case {
+    std::string text;
+    std::string what;
+    std::size_t offset;
+  };
+  const Case cases[] = {
+      {"\"" + run + "\x01\"", "raw control character in string", 1 + n},
+      {"\"" + run + "\\q\"", "invalid escape character in string", 2 + n},
+      {"\"" + run + "\\uZZZZ\"", "invalid hex digit in \\u escape", 3 + n},
+      {"\"" + run + "\\udd1e\"", "lone low surrogate in \\u escape", 7 + n},
+      {"\"" + run + "\\ud834x\"", "high surrogate not followed by \\u escape", 7 + n},
+      {"\"" + run, "unexpected end of input", 1 + n},
+      {"\"" + run + "\\", "unexpected end of input", 2 + n},
+  };
+  for (const Case& c : cases) {
+    try {
+      Value::parse(c.text);
+      ADD_FAILURE() << "accepted: " << c.what;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.offset(), c.offset) << c.what;
+      EXPECT_EQ(std::string(e.what()),
+                "json: " + c.what + " (at offset " + std::to_string(c.offset) + ")");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "common/fault.hpp"
 #include "common/hash.hpp"
 #include "common/json.hpp"
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "core/sc_model.hpp"
@@ -809,6 +810,43 @@ TEST(Serve, SpiceTransientSchemaIsStrict) {
   EXPECT_TRUE(response_ok(over));
   const std::string rejected = small.handle_line(spice_transient_request(8, 4));
   EXPECT_FALSE(response_ok(rejected));
+}
+
+TEST(Serve, ClockEdgesCountAgainstTheStepBudget) {
+  // tstop/dt is 1e6, inside the default 4,194,304-step budget, but the
+  // 1 THz two-phase clock lands 2e9 times by 1 ms: the request is refused
+  // before the first step, naming the switch, its clock and the budget.
+  const std::string fast_clock =
+      R"({"op":"transient","id":1,"topology":"spice",)"
+      R"("netlist":"v1 in 0 DC 1\ns1 in out 1 1e9 CLOCK(1e12 2 0.5 0)\nrl out 0 1k\n",)"
+      R"("tstop":1e-3,"dt":1e-9})";
+  const metrics::Counter& steps = metrics::registry().counter("spice.tran.steps");
+  const std::uint64_t steps_before = steps.value();
+  Service svc;
+  const std::string refused = svc.handle_line(fast_clock);
+  ASSERT_FALSE(response_ok(refused)) << refused;
+  EXPECT_EQ(error_code(refused), "invalid-parameter");
+  const std::string detail = parsed(refused).find("error")->find("detail")->as_string();
+  EXPECT_NE(detail.find("switch 's1'"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("1e+12 Hz"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("4194304"), std::string::npos) << detail;
+  // The batch runner behind `ivory batch` refuses it the same way.
+  std::istringstream in(fast_clock + "\n");
+  std::ostringstream out;
+  EXPECT_EQ(run_batch(in, out, svc, BatchOptions{}).passes.back().errors, 1u);
+  EXPECT_NE(out.str().find(detail), std::string::npos) << out.str();
+  EXPECT_EQ(steps.value(), steps_before) << "a refused request took steps";
+
+  // The slow fixtures of the fleet, stream and crash-recovery tests (3.2M
+  // steps plus 32k landings) stay inside the budget.
+  const json::Value slow = json::Value::parse(
+      R"({"op":"transient","topology":"spice",)"
+      R"("netlist":"vs src 0 DC 3.3\nrs src a 0.01\nls a in 1n\ncin in 0 1u\n)"
+      R"(s1 in fly 0.01 1e8 CLOCK(20meg 2 0.48 0)\n)"
+      R"(s2 fly out 0.01 1e8 CLOCK(20meg 2 0.48 1)\ncfly fly 0 100n IC=1.65\n)"
+      R"(cout out 0 100n IC=1.65\nrl out 0 3.3\n.end\n",)"
+      R"("tstop":4e-4,"dt":1.25e-10,"method":"be","uic":true,"record":["out"]})");
+  EXPECT_NO_THROW(prepare_spice(transient_params(slow), ServiceOptions{}.max_samples));
 }
 
 TEST(Serve, ForcedDenseKernelAboveTheLimitIsRefused) {

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "spice/parser.hpp"
@@ -300,6 +301,90 @@ TEST(TimeBase, GatedRunMatchesAccumulatedTime) {
   expect_matches(out_stats(run_recording_out(c, spec)),
                  {1.0359202418735425, 1.0168772630632239, 0.0, 1.0428005561969984},
                  "gated switch");
+}
+
+// ---------------------------------------------------------------------------
+// step_bound, which serve checks against its per-request budget before a
+// run: never below the steps a run takes, and within 2% of them on the
+// finely stepped clocked fixtures serve's own tests send.
+// ---------------------------------------------------------------------------
+
+TEST(StepBound, CoversEveryRunAndIsTightOnClockedFixtures) {
+  struct Case {
+    std::string what;
+    Circuit circuit;
+    TranSpec spec;
+    bool tight;  ///< clocked at T/400: the bound is within 2%
+  };
+  std::vector<Case> cases;
+  for (const bool adaptive : {false, true})
+    cases.push_back({adaptive ? "two-phase SC adaptive" : "two-phase SC", two_phase_sc(),
+                     sc_spec(16, adaptive), !adaptive});
+  for (const double f : {10e6, 13.7e6, 24.9e6, 40e6}) {
+    TranSpec spec;
+    spec.dt = 1.0 / (100.0 * f);
+    spec.tstop = 200.0 / f;
+    spec.use_ic = true;
+    cases.push_back({"2:1 stage at " + num(f), parse_netlist("vin in 0 DC 3.3\n" + sc_stage(f)),
+                     spec, false});
+    spec.use_ic = false;
+    spec.tstop = 37.3 / f;  // ends mid-period
+    cases.push_back({"PDN-ladder stage at " + num(f),
+                     parse_netlist(std::string(kPdnLadder) + sc_stage(f)), spec, false});
+    spec.adaptive = true;
+    spec.dv_max_v = 20e-3;
+    cases.push_back({"adaptive stage at " + num(f),
+                     parse_netlist("vin in 0 DC 3.3\n" + sc_stage(f)), spec, false});
+  }
+  // Serve's fixtures: the fleet/crash-recovery netlist and the stream one.
+  TranSpec serve_spec;
+  serve_spec.dt = 1.25e-10;
+  serve_spec.tstop = 4e-6;
+  serve_spec.use_ic = true;
+  serve_spec.method = Integrator::BackwardEuler;
+  const std::string stage =
+      "s1 in fly 0.01 1e8 CLOCK(20meg 2 0.48 0)\ns2 fly out 0.01 1e8 CLOCK(20meg 2 0.48 1)\n"
+      "cfly fly 0 100n IC=1.65\ncout out 0 100n IC=1.65\nrl out 0 3.3\n.end\n";
+  cases.push_back({"stream fixture", parse_netlist("vin in 0 DC 3.3\n" + stage), serve_spec, true});
+  cases.push_back({"fleet fixture",
+                   parse_netlist("vs src 0 DC 3.3\nrs src a 0.01\nls a in 1n\ncin in 0 1u\n" +
+                                 stage),
+                   serve_spec, true});
+  // Two clock periods, and no clock at all with a fractional tstop/dt.
+  cases.push_back({"two clocks",
+                   parse_netlist("vin in 0 DC 3.3\n" + sc_stage(20e6) +
+                                 "s5 out x 0.01 1e8 CLOCK(13.7meg 1 0.3)\nrx x 0 10\n"),
+                   sc_spec(16), false});
+  // A clocked switch gated by a comparator on its own output.
+  Circuit gated;
+  const NodeId in = gated.node("in");
+  const NodeId out = gated.node("out");
+  gated.add_vsource("v1", in, kGround, Waveform::dc(2.0));
+  gated.add_gated_switch("sg", in, out, 10.0, 1e9, PhaseClock(5e6, 1, 0.5).phase(0), out,
+                         kGround, 1.0, 0.01);
+  gated.add_capacitor("c1", out, kGround, 10e-9);
+  gated.add_resistor("rl", out, kGround, 10e3);
+  TranSpec gated_spec;
+  gated_spec.tstop = 30e-6;
+  gated_spec.dt = 5e-9;
+  gated_spec.use_ic = true;
+  cases.push_back({"gated switch", gated, gated_spec, false});
+  TranSpec rc_spec;
+  rc_spec.dt = 1e-9;
+  rc_spec.tstop = 1.2345e-6;
+  cases.push_back({"clock-less ladder", parse_netlist(std::string(kPdnLadder) + "rl in 0 4\n"),
+                   rc_spec, false});
+
+  for (const Case& k : cases) {
+    const TranResult r = transient(k.circuit, k.spec);
+    const StepBound b = step_bound(k.circuit, k.spec.tstop, k.spec.dt);
+    const double steps = static_cast<double>(r.steps_taken);
+    EXPECT_GE(b.steps, steps) << k.what;
+    if (k.tight) {
+      EXPECT_LE(b.steps, 1.02 * steps) << k.what;
+    }
+    EXPECT_EQ(b.busiest < 0, k.circuit.switches().empty()) << k.what;
+  }
 }
 
 }  // namespace
