@@ -1,13 +1,14 @@
 // Google-benchmark microbenchmarks of Ivory's computational kernels: the
 // charge-multiplier solver, static analyses, the cycle-by-cycle dynamic
-// model, one MNA transient step stream, the FFT, and the netlist and
-// request-line readers on a 64x64 grid.
+// model, one MNA transient step stream, the dense LU solve, the FFT, and the
+// netlist and request-line readers on a 64x64 grid.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 
 #include "common/fft.hpp"
 #include "common/json.hpp"
+#include "common/matrix.hpp"
 #include "core/ivory.hpp"
 #include "perfbench_grid.hpp"
 #include "serve/service.hpp"
@@ -92,6 +93,32 @@ void BM_SpiceTransient_RlcSteps(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 10000);
 }
 BENCHMARK(BM_SpiceTransient_RlcSteps);
+
+// One dense LU solve per iteration, fed the previous solution as its
+// right-hand side: the latency a cached transient step pays for its solve.
+// The matrix is a Householder reflector (orthogonal and its own inverse), so
+// the chain neither grows nor decays, and its LU swaps rows. n <= 16 runs
+// the fixed-size solve, 17 and 20 the loop.
+void BM_DenseSolve(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> v(n);
+  double vv = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = std::sin(1.0 + 0.7 * static_cast<double>(i));
+    vv += v[i] * v[i];
+  }
+  Matrix<double> h = Matrix<double>::identity(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) h(i, j) -= 2.0 * v[i] * v[j] / vv;
+  const LuFactorization<double> lu(std::move(h));
+  std::vector<double> b(n, 1.0), x(n);
+  for (auto _ : state) {
+    lu.solve_into(b, x);
+    b.swap(x);
+  }
+  benchmark::DoNotOptimize(b.data());
+}
+BENCHMARK(BM_DenseSolve)->Arg(3)->Arg(5)->Arg(14)->Arg(16)->Arg(17)->Arg(20);
 
 // The two text layers of a 64x64 grid transient request (perfbench's
 // transient_mix sends 0.48 MB lines of this grid): the netlist reader, and

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -127,6 +128,7 @@ class LuFactorization {
         for (std::size_t c = k + 1; c < n; ++c) lu_(i, c) -= m * lu_(k, c);
       }
     }
+    if constexpr (std::is_same_v<T, double>) fixed_ = fixed_solve(n);
   }
 
   std::vector<T> solve(const std::vector<T>& b) const {
@@ -135,30 +137,38 @@ class LuFactorization {
     return x;
   }
 
+  /// L (unit, below the diagonal) and U packed; row i of L*U is row pivots()[i].
+  const Matrix<T>& factors() const { return lu_; }
+  const std::vector<std::size_t>& pivots() const { return piv_; }
+
   /// Allocation-free solve: writes the solution into `x` (resized on first
   /// use, reused afterwards). `b` and `x` must not alias — the row
   /// permutation is applied while reading `b`. The transient integrator calls
   /// this once per step with hoisted buffers, keeping the inner loop free of
-  /// heap traffic.
+  /// heap traffic. Real systems of n <= kMaxFixedN take solve_fixed<n>.
   void solve_into(const std::vector<T>& b, std::vector<T>& x) const {
     const std::size_t n = lu_.rows();
     require(b.size() == n, "LuFactorization::solve: dimension mismatch");
     require(&b != &x, "LuFactorization::solve_into: b and x must not alias");
     const double injected = fault::inject("lu_solve");
     x.resize(n);
-    for (std::size_t i = 0; i < n; ++i) x[i] = b[piv_[i]];
-    if (n > 0) x[0] += T{injected};
-    // Forward substitution (unit lower triangular).
-    for (std::size_t i = 1; i < n; ++i) {
-      T acc = x[i];
-      for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
-      x[i] = acc;
-    }
-    // Back substitution.
-    for (std::size_t ii = n; ii-- > 0;) {
-      T acc = x[ii];
-      for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
-      x[ii] = acc / lu_(ii, ii);
+    if (fixed_ != nullptr) {
+      fixed_(&lu_(0, 0), piv_.data(), b.data(), injected, x.data());
+    } else {
+      for (std::size_t i = 0; i < n; ++i) x[i] = b[piv_[i]];
+      if (n > 0) x[0] += T{injected};
+      // Forward substitution (unit lower triangular).
+      for (std::size_t i = 1; i < n; ++i) {
+        T acc = x[i];
+        for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
+        x[i] = acc;
+      }
+      // Back substitution.
+      for (std::size_t ii = n; ii-- > 0;) {
+        T acc = x[ii];
+        for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
+        x[ii] = acc / lu_(ii, ii);
+      }
     }
     for (std::size_t i = 0; i < n; ++i)
       if (!detail::is_finite_val(x[i]))
@@ -167,8 +177,45 @@ class LuFactorization {
   }
 
  private:
+  /// The loop above at a compile-time n = N, unrolled so the solution stays
+  /// in registers. Same operations in the same order, so the same bits: a
+  /// division, never a reciprocal; no skipped zero of L or U (0*x can be -0,
+  /// and -0 - -0 = +0); `injected` added even when +0 (it turns -0 into +0).
+  /// The backward loop counts up: GCC ignores the unroll pragma on `ii-- > 0`.
+  template <std::size_t N>
+  static void solve_fixed(const T* lu, const std::size_t* piv, const T* b, double injected,
+                          T* out) {
+    T x[N];
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < N; ++i) x[i] = b[piv[i]];
+    x[0] += T{injected};
+#pragma GCC unroll 16
+    for (std::size_t i = 1; i < N; ++i)
+#pragma GCC unroll 16
+      for (std::size_t j = 0; j < i; ++j) x[i] -= lu[i * N + j] * x[j];
+#pragma GCC unroll 16
+    for (std::size_t k = 1; k <= N; ++k) {
+      const std::size_t ii = N - k;
+#pragma GCC unroll 16
+      for (std::size_t j = ii + 1; j < N; ++j) x[ii] -= lu[ii * N + j] * x[j];
+      x[ii] /= lu[ii * N + ii];
+    }
+#pragma GCC unroll 16
+    for (std::size_t i = 0; i < N; ++i) out[i] = x[i];
+  }
+
+  /// Largest n that solve_fixed takes (DESIGN.md, "Small-system solve").
+  static constexpr std::size_t kMaxFixedN = 16;
+  using FixedSolve = void (*)(const T*, const std::size_t*, const T*, double, T*);
+  template <std::size_t N = kMaxFixedN>
+  static FixedSolve fixed_solve(std::size_t n) {
+    if constexpr (N == 0) return nullptr;
+    else return n == N ? &solve_fixed<N> : fixed_solve<N - 1>(n);
+  }
+
   Matrix<T> lu_;
   std::vector<std::size_t> piv_;
+  FixedSolve fixed_ = nullptr;  ///< solve_fixed<n>, or the loop when null.
 };
 
 /// Solves the square system a*x = b via LU.

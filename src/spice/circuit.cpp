@@ -112,10 +112,4 @@ int Circuit::mna_size() const {
          static_cast<int>(inductors_.size());
 }
 
-int Circuit::vsource_current_index(int k) const { return node_count() - 1 + k; }
-
-int Circuit::inductor_current_index(int k) const {
-  return node_count() - 1 + static_cast<int>(vsources_.size()) + k;
-}
-
 }  // namespace ivory::spice

@@ -122,8 +122,10 @@ class Circuit {
   /// voltage source and per inductor.
   int mna_size() const;
   /// Index of the current unknown of voltage source / inductor `k`.
-  int vsource_current_index(int k) const;
-  int inductor_current_index(int k) const;
+  int vsource_current_index(int k) const { return node_count() - 1 + k; }
+  int inductor_current_index(int k) const {
+    return node_count() - 1 + static_cast<int>(vsources_.size()) + k;
+  }
 
  private:
   // Transparent hashing, so a lookup by string_view builds no std::string.

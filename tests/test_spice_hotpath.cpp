@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
+#include "pdn/pdn.hpp"
 #include "spice/parser.hpp"
 #include "spice/spice.hpp"
 
@@ -301,6 +305,98 @@ TEST(TimeBase, GatedRunMatchesAccumulatedTime) {
   expect_matches(out_stats(run_recording_out(c, spec)),
                  {1.0359202418735425, 1.0168772630632239, 0.0, 1.0428005561969984},
                  "gated switch");
+}
+
+// ---------------------------------------------------------------------------
+// The switched waveforms' bits, pinned. The capacity test above compares
+// runs with each other and TimeBase.* allows 1e-9 V, so a solve that moved
+// every run's bits the same way would pass both. These digests (FNV-1a over
+// the raw bytes of `time` and of every recorded node) were taken with the
+// run-time-n loop solve, before the fixed-size one took over n <= 16.
+// ---------------------------------------------------------------------------
+
+std::uint64_t waveform_digest(const TranResult& r) {
+  auto bytes = [](const std::vector<double>& v) {
+    return std::string_view(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(double));
+  };
+  std::uint64_t h = fnv1a64(bytes(r.time));
+  for (const std::vector<double>& v : r.voltages) h = fnv1a64(bytes(v), h);
+  return h;
+}
+
+// Fig. 8's power stage, folded to the single-phase equivalent (the stage
+// bench_transient_hotpath's buck scenarios run): complementary high/low
+// switches into L + DCR + output cap, DC load. 6 unknowns.
+Circuit buck_stage() {
+  Circuit c;
+  const NodeId vin = c.node("vin");
+  const NodeId sw = c.node("sw");
+  const NodeId lx = c.node("lx");
+  const NodeId out = c.node("out");
+  c.add_vsource("v1", vin, kGround, Waveform::dc(1.8));
+  const PhaseClock clk(100e6, 1, 0.55);
+  c.add_switch("s_hs", vin, sw, 5e-3, 1e8, clk.phase(0));
+  c.add_switch("s_ls", sw, kGround, 5e-3, 1e8, clk.phase(0, /*inverted=*/true));
+  c.add_inductor_ic("l1", sw, lx, 4e-9, 1.0);
+  c.add_resistor("r_dcr", lx, out, 1e-3);
+  c.add_capacitor_ic("cout", out, kGround, 150e-9, 1.0);
+  c.add_isource("iload", out, kGround, Waveform::dc(1.0));
+  return c;
+}
+
+// bench_transient_hotpath's sc2_pdn: a two-switch 2:1 stage fed from the
+// GPUVolt board/package/C4/grid ladder. 20 unknowns, past the fixed-size
+// bound, so it pins the loop solve.
+Circuit sc2_pdn() {
+  Circuit c;
+  const pdn::PdnNodes pn = pdn::build_pdn_netlist(c, pdn::PdnParams::gpuvolt_default(), 3.3);
+  const NodeId fly = c.node("fly");
+  const NodeId out = c.node("out");
+  const PhaseClock clk(20e6, 2, 0.48);
+  c.add_switch("s1", pn.die, fly, 0.01, 1e8, clk.phase(0));
+  c.add_switch("s2", fly, out, 0.01, 1e8, clk.phase(1));
+  c.add_capacitor_ic("cfly", fly, kGround, 100e-9, 1.65);
+  c.add_capacitor_ic("cout", out, kGround, 100e-9, 1.65);
+  c.add_resistor("rl", out, kGround, 3.3);
+  return c;
+}
+
+TEST(HotPath, SwitchedWaveformBitsPinned) {
+  struct Case {
+    std::string what;
+    Circuit circuit;
+    int unknowns;
+    double f_sw, steps_per_period, periods;
+    bool use_ic;
+    std::uint64_t fixed, adaptive;  ///< Digests of the fixed-step and adaptive runs.
+  };
+  const Case cases[] = {
+      {"Fig. 9 2:1 stage", parse_netlist("vin in 0 DC 3.3\n" + sc_stage(20e6)), 5, 20e6, 100, 60,
+       true, 0xa44f3904d3d6cf85ull, 0x3825a8e38330fd82ull},
+      {"2:1 stage behind the RLC ladder", parse_netlist(std::string(kPdnLadder) + sc_stage(20e6)),
+       14, 20e6, 100, 60, false, 0x7bfe2c19f5981cd7ull, 0xd9d4c6621772b4d9ull},
+      {"Fig. 8 buck stage", buck_stage(), 6, 100e6, 800, 12, true, 0x75734995084b9429ull,
+       0xb78d33be3743e919ull},
+      {"sc2_pdn", sc2_pdn(), 20, 20e6, 100, 60, true, 0x67d3e5470d71c073ull,
+       0x7ff1df5395131c45ull},
+  };
+  for (const Case& k : cases) {
+    ASSERT_EQ(k.circuit.mna_size(), k.unknowns) << k.what;
+    for (const bool adaptive : {false, true})
+      for (const int capacity : {0, 16}) {
+        TranSpec spec;
+        spec.dt = 1.0 / (k.steps_per_period * k.f_sw);
+        spec.tstop = k.periods / k.f_sw;
+        spec.use_ic = k.use_ic;
+        spec.adaptive = adaptive;
+        spec.dv_max_v = 20e-3;  // loose enough that the adaptive steps grow
+        spec.lu_cache_capacity = capacity;
+        const std::uint64_t got = waveform_digest(transient(k.circuit, spec));
+        EXPECT_EQ(got, adaptive ? k.adaptive : k.fixed)
+            << k.what << (adaptive ? " adaptive" : " fixed-step") << " at lu_cache " << capacity
+            << ": digest 0x" << std::hex << got;
+      }
+  }
 }
 
 // ---------------------------------------------------------------------------
