@@ -83,12 +83,6 @@ void arm_probability(const std::string& site, Action action, double p, std::uint
   arm(site, s);
 }
 
-void disarm(const std::string& site) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  registry().erase(site);
-  detail::g_armed_sites.store(static_cast<int>(registry().size()), std::memory_order_relaxed);
-}
-
 void disarm_all() {
   std::lock_guard<std::mutex> lock(g_mutex);
   registry().clear();

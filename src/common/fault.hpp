@@ -35,7 +35,6 @@ void arm_on_hit(const std::string& site, Action action, std::uint64_t k);
 /// count and of any other armed site.
 void arm_probability(const std::string& site, Action action, double p, std::uint64_t seed);
 
-void disarm(const std::string& site);
 void disarm_all();
 
 /// Clears the serial-stream hit counters of every armed site (task-scoped

@@ -13,7 +13,9 @@
 //     stripes) happens only on read. Instrumentation sites sit at batch /
 //     request / run granularity, never inside per-step loops: the transient
 //     engine accumulates its counters locally (TranResult snapshots) and
-//     folds them into the registry once per run.
+//     folds them into the registry once per run; tools/perf_smoke_same_code.sh
+//     checks that every function its stepping loop can reach compiles to the
+//     same instructions with this layer compiled out.
 //  3. *Deterministic where the computation is.* Counter values are exact sums
 //     of the work performed, so a serial section produces byte-identical
 //     counter values across runs; a parallel section produces identical
@@ -23,8 +25,8 @@
 //
 // Compile-time kill switch: building with -DIVORY_NO_METRICS turns every
 // type in this header into a zero-cost stub (empty structs, no-op inline
-// methods, empty registry output) — the A/B the perf-smoke overhead check
-// compares against. A runtime switch (`set_enabled(false)`, or environment
+// methods, empty registry output), the twin build that same-code check
+// disassembles. A runtime switch (`set_enabled(false)`, or environment
 // `IVORY_METRICS=0`) short-circuits recording without recompiling.
 //
 // Naming: dotted lowercase paths ("serve.cache.hits"). The Prometheus

@@ -29,13 +29,6 @@ Delivery delivery_from_string(const std::string& s) {
                          "' (known: ivr, vrm)");
 }
 
-ScenarioSpec preset_scenario(const std::string& name) {
-  ScenarioSpec spec;
-  spec.name = name;
-  spec.states = workload::residency_preset(name);
-  return spec;
-}
-
 namespace {
 
 // The board VRM serving a domain is rated at the workload peak (~2.5x the

@@ -52,9 +52,6 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
 };
 
-/// Spec with one IVR "core" domain over workload::residency_preset(name).
-ScenarioSpec preset_scenario(const std::string& name);
-
 /// One evaluated (domain, state) cell.
 struct StateEval {
   std::string domain;

@@ -54,7 +54,7 @@ BatchSummary run_batch(std::istream& in, std::ostream& out, Service& service,
     p.evictions = after.cache.evictions - before.cache.evictions;
     p.evaluations = after.n_evaluations - before.n_evaluations;
     p.errors = after.n_errors - before.n_errors;
-    p.store_hits = after.store_hits - before.store_hits;
+    p.store_hits = after.store.hits - before.store.hits;
     summary.passes.push_back(p);
     summary.requests += p.requests;
   }

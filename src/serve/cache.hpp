@@ -80,8 +80,6 @@ class ResultCache {
   CacheStats stats() const;
   void clear();
 
-  std::size_t shard_count() const { return shards_.size(); }
-
  private:
   struct Entry {
     std::string key;

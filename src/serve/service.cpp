@@ -311,7 +311,6 @@ std::string Service::handle(const DecodedLine& line) {
     // refills the in-memory LRU. Corrupt entries were quarantined inside
     // get() and fall through to a fresh evaluation.
     if (std::optional<std::string> hit = store_->get(req.key, req.canonical)) {
-      store_hits_.fetch_add(1, std::memory_order_relaxed);
       cache_.insert(req.key, req.canonical, *hit);
       return ok_response(req.id, *hit);
     }
@@ -553,7 +552,6 @@ ServiceStats Service::stats() const {
     s.store = store_->stats();
     s.warm_loaded = warm_loaded_;
   }
-  s.store_hits = store_hits_.load(std::memory_order_relaxed);
   s.n_requests = n_requests_.load(std::memory_order_relaxed);
   s.n_evaluations = n_evaluations_.load(std::memory_order_relaxed);
   s.n_errors = n_errors_.load(std::memory_order_relaxed);

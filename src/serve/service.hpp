@@ -71,7 +71,6 @@ struct ServiceStats {
   CacheStats cache;
   StoreStats store;                 ///< zeros when no cache_dir is configured
   bool durable = false;             ///< a DurableStore is attached
-  std::uint64_t store_hits = 0;     ///< misses answered by the durable tier
   std::uint64_t warm_loaded = 0;    ///< entries replayed at construction
   std::uint64_t n_requests = 0;     ///< lines handled (including bad ones)
   std::uint64_t n_evaluations = 0;  ///< model evaluations actually run
@@ -137,7 +136,6 @@ class Service {
   std::atomic<std::uint64_t> n_requests_{0};
   std::atomic<std::uint64_t> n_evaluations_{0};
   std::atomic<std::uint64_t> n_errors_{0};
-  std::atomic<std::uint64_t> store_hits_{0};
   std::uint64_t warm_loaded_ = 0;
 };
 

@@ -442,6 +442,12 @@ void Supervisor::accept_loop() {
     auto p = std::make_shared<Proxy>();
     p->client_fd = client;
     p->worker_fd = worker;
+    {
+      // Count before the pumps start: a client that reads its first reply
+      // must never observe a stats() snapshot that has not counted it yet.
+      std::lock_guard<std::mutex> lock(mu_);
+      ++connections_;
+    }
     p->t_c2w = std::thread([p] {
       char buf[1 << 16];
       while (true) {
@@ -500,7 +506,6 @@ void Supervisor::accept_loop() {
     });
 
     std::lock_guard<std::mutex> lock(mu_);
-    ++connections_;
     prune_proxies_locked();
     proxies_.push_back(std::move(p));
   }

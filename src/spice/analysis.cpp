@@ -538,9 +538,10 @@ std::vector<ClockFrame> clock_frames(const Circuit& c, std::vector<int>& frame_o
 // The whole run without any observability: `transient` wraps it in the trace
 // span and folds the counters afterwards. Kept out of line so the stepping
 // loop compiles to the same machine code whether the metrics layer is
-// compiled in or out (-DIVORY_NO_METRICS); inlined, the span's cleanup and
-// the fold changed its register allocation and block layout, which the
-// metrics-overhead A/B read as up to 25% either way on single points.
+// compiled in or out (-DIVORY_NO_METRICS), which perf_smoke_same_code
+// checks; inlined, the span's cleanup and the fold changed its register
+// allocation and block layout, which a wall-clock A/B of the two builds read
+// as up to 25% either way on single points.
 [[gnu::noinline]] TranResult run_transient(const Circuit& c, const TranSpec& spec) {
   require(spec.dt > 0.0, "transient: dt must be positive");
   require(spec.tstop > spec.dt, "transient: tstop must exceed dt");

@@ -103,23 +103,64 @@ class FleetTest : public ::testing::Test {
 };
 
 TEST_F(FleetTest, ServesAcrossWorkersWithOrderedResponses) {
-  Supervisor fleet(base_options(2));
-  fleet.start();
-  // Several connections so round-robin pins work to both workers.
-  for (int c = 0; c < 4; ++c) {
-    BlockingClient client(fleet.socket_path());
-    for (int i = 0; i < 3; ++i) {
-      client.send_line(kFastRequest);
-      const std::string resp = client.recv_line();
-      EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+  // A mixed stream, distinct ids, with one body repeated under a new id.
+  const std::vector<std::string> stream = {
+      R"({"op":"sc_static","id":1,"n":3,"m":1,"cfly":4e-6,"gtot":15e3,"fsw":80e6,"iload":20})",
+      R"({"op":"buck_static","id":2,"l":5e-9,"fsw":1e8,"phases":4,"iload":9})",
+      R"({"op":"ldo_static","id":3,"vin":1.2,"vout":1.0,"iload":3})",
+      R"({"op":"sc_static","id":4,"n":2,"m":1,"cfly":2e-6,"gtot":8e3,"fsw":60e6,"iload":10})",
+      R"({"op":"sc_static","id":5,"n":2,"m":1,"cfly":2e-6,"gtot":8e3,"fsw":60e6,"iload":10})"};
+  std::string reference;
+  for (const int workers : {1, 2}) {
+    Supervisor fleet(base_options(workers));
+    fleet.start();
+    // Several connections in turn, so round-robin pins work to every worker...
+    for (int c = 0; c < 4; ++c) {
+      BlockingClient client(fleet.socket_path());
+      for (int i = 0; i < 3; ++i) {
+        client.send_line(kFastRequest);
+        const std::string resp = client.recv_line();
+        EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+      }
     }
+    // ...then two at once, each sending the stream in lock-step.
+    std::string replies[2];
+    std::vector<std::thread> clients;
+    for (std::string& out : replies)
+      clients.emplace_back([&fleet, &stream, &out] {
+        try {
+          BlockingClient client(fleet.socket_path());
+          for (const std::string& req : stream) {
+            client.send_line(req);
+            out += client.recv_line() + "\n";
+          }
+        } catch (const std::exception& e) {
+          out += std::string("client failed: ") + e.what();
+        }
+      });
+    for (std::thread& t : clients) t.join();
+    // Every reply ok and in order, the same bytes on both connections and at
+    // either worker count.
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const std::size_t eol = replies[0].find('\n', pos);
+      ASSERT_NE(eol, std::string::npos) << replies[0];
+      const json::Value v = json::Value::parse(replies[0].substr(pos, eol - pos));
+      EXPECT_TRUE(v.find("ok")->as_bool()) << replies[0];
+      EXPECT_EQ(v.find("id")->write(), std::to_string(i + 1));
+      pos = eol + 1;
+    }
+    EXPECT_EQ(replies[1], replies[0]) << workers << " workers";
+    if (reference.empty()) reference = replies[0];
+    EXPECT_EQ(replies[0], reference) << workers << " workers";
+
+    const FleetStats s = fleet.stats();
+    EXPECT_EQ(s.workers.size(), static_cast<std::size_t>(workers));
+    EXPECT_EQ(s.connections, 6u);
+    EXPECT_EQ(s.retry_errors, 0u);
+    EXPECT_EQ(healthy_pids(fleet).size(), static_cast<std::size_t>(workers));
+    fleet.stop();
   }
-  const FleetStats s = fleet.stats();
-  EXPECT_EQ(s.workers.size(), 2u);
-  EXPECT_EQ(s.connections, 4u);
-  EXPECT_EQ(s.retry_errors, 0u);
-  EXPECT_EQ(healthy_pids(fleet).size(), 2u);
-  fleet.stop();
 }
 
 TEST_F(FleetTest, RetryableErrorLineIsStructuredAndMarkedRetryable) {

@@ -150,22 +150,43 @@ TEST(Scenario, DigitalLdoTopologyReachesEndToEnd) {
     if (!c.gated) EXPECT_LE(c.efficiency, c.v_v / sys.vin_v + 1e-12);
 }
 
+/// The race-to-halt preset over hybrid delivery: an IVR core domain next to
+/// a board-VRM uncore domain, three states each, the halt state power-gated.
+ScenarioSpec hybrid_race_to_halt_spec() {
+  ScenarioSpec spec = fast_spec();
+  spec.name = "race-to-halt";
+  spec.states = workload::residency_preset("race-to-halt");
+  DomainSpec core_dom, uncore_dom;
+  core_dom.name = "core";
+  core_dom.power_frac = 0.75;
+  core_dom.delivery = Delivery::OnChipIvr;
+  uncore_dom.name = "uncore";
+  uncore_dom.power_frac = 0.25;
+  uncore_dom.delivery = Delivery::OffChipVrm;
+  spec.domains = {core_dom, uncore_dom};
+  return spec;
+}
+
 TEST(Scenario, BytesIdenticalAcrossThreadCounts) {
-  const ScenarioSpec spec = fast_spec();
   const core::SystemParams sys = small_sys();
-  std::string reference;
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    par::set_global_threads(threads);
-    const ScenarioReport r =
-        evaluate_scenario(sys, core::IvrTopology::SwitchedCapacitor, 2, spec);
-    const std::string bytes = to_json(r).write_canonical();
-    if (reference.empty())
-      reference = bytes;
-    else
-      EXPECT_EQ(bytes, reference) << "thread count " << threads << " changed bytes";
+  for (const ScenarioSpec& spec : {fast_spec(), hybrid_race_to_halt_spec()}) {
+    std::string reference;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      par::set_global_threads(threads);
+      const ScenarioReport r =
+          evaluate_scenario(sys, core::IvrTopology::SwitchedCapacitor, 2, spec);
+      const std::string bytes = to_json(r).write_canonical();
+      if (reference.empty()) {
+        reference = bytes;
+        EXPECT_TRUE(r.complete) << spec.name;
+        EXPECT_EQ(r.cells.size(), spec.states.size() * spec.domains.size()) << spec.name;
+      } else {
+        EXPECT_EQ(bytes, reference) << spec.name << ": thread count " << threads
+                                    << " changed bytes";
+      }
+    }
   }
   par::set_global_threads(1);
-  EXPECT_FALSE(reference.empty());
 }
 
 TEST(Scenario, InfeasibleStateIsQuarantinedNotFatal) {

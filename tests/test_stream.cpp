@@ -662,6 +662,21 @@ TEST(StreamIdentity, SocketLevelAcrossChunkSizesAndThreadCounts) {
       client.send_line(kStaticRequest);
       EXPECT_NE(client.recv_line().find("\"ok\":true"), std::string::npos);
     }
+    // Two clients streaming at once, one per stream slot.
+    std::string concurrent[2];
+    std::vector<std::thread> clients;
+    for (std::string& got : concurrent)
+      clients.emplace_back([&server, &got] {
+        try {
+          BlockingClient client(server.socket_path());
+          got = client_stream(client, with_stream(kSpiceRequest, "wave1", 4096)).decoded();
+        } catch (const std::exception& e) {
+          got = std::string("client failed: ") + e.what();
+        }
+      });
+    for (std::thread& t : clients) t.join();
+    for (const std::string& got : concurrent)
+      EXPECT_EQ(got, reference_plain) << "threads=" << threads << ", concurrent";
     server.stop();
   }
   par::set_global_threads(1);

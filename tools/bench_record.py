@@ -12,7 +12,9 @@ each side at seed 1, alternating too, for the per-layer metrics, the work
 counters and the reply digest.
 
 Writes BENCH_<workload>.json at the repository root, which takes at least
-ten pairs; a shorter exploratory run must name its own --out file.
+ten pairs and a working tree whose src/ and perfbench/ are committed, so the
+record measures HEAD; a shorter or uncommitted exploratory run must name its
+own --out file.
 The record holds:
   - per run: the result line's attempted/failed counts and end-to-end
     metrics, and the host calibration printed with it;
@@ -140,6 +142,14 @@ def main():
         "change": {"commit": git("rev-parse", "HEAD"), "src_tree": working_src_tree(),
                    "uncommitted_changes": bool(git("status", "--porcelain"))},
     }
+    if not args.out:
+        head_src = git("rev-parse", "HEAD:src")
+        dirty_perfbench = git("status", "--porcelain", "--", "perfbench")
+        if sides["change"]["src_tree"] != head_src or dirty_perfbench:
+            ap.error(f"BENCH_<workload>.json records the committed tree, but src/ is tree "
+                     f"{sides['change']['src_tree']} against HEAD:src {head_src}"
+                     + (" and perfbench/ has uncommitted changes" if dirty_perfbench else "")
+                     + "; commit first, or name an --out file")
 
     with tempfile.TemporaryDirectory(prefix="bench_record_") as base_tree:
         archive = subprocess.run(["git", "-C", ROOT, "archive", base_commit],

@@ -39,6 +39,7 @@ run() {
   run sc --n 3 --m 1 --cfly 4u --gtot 15k --fsw 80meg --iload 20
   run sc --n 3 --m 1 --cfly 4u --gtot 15k --fsw 80meg --iload 20 --regulate 1.0
   run buck --l 5n --fsw 100meg --phases 4 --iload 10 --inductor smt
+  run buck --iload 10
   run topology --n 3 --m 2
   run topology --n 4 --m 1 --family series-parallel
   run explore --power 20 --area 20
