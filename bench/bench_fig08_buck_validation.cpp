@@ -45,25 +45,21 @@ SimPoint simulate_buck(const core::BuckDesign& d, double vin, double i_load) {
   const tech::SwitchTech& dev =
       vin > core_dev.vmax_v ? tech::switch_tech(d.node, tech::DeviceClass::Io) : core_dev;
   const tech::InductorTech& ind = tech::inductor_tech(d.inductor);
-  const double n = d.n_phases;
-  const double r_hs = dev.ron(d.w_high_m) / n;  // N phases folded in parallel.
-  const double r_ls = dev.ron(d.w_low_m) / n;
-  const double l_eq = ind.inductance_at(d.l_per_phase_h, d.f_sw_hz) / n;
-  const double r_dcr = ind.dcr(d.l_per_phase_h) / n;
-
+  const double n = d.n_phases;  // N phases folded in parallel.
+  core::BuckStage stage;
+  stage.vin_v = vin;
+  stage.f_sw_hz = d.f_sw_hz;
+  stage.duty = a.duty;
+  stage.r_high_ohm = dev.ron(d.w_high_m) / n;
+  stage.r_low_ohm = dev.ron(d.w_low_m) / n;
+  stage.l_h = ind.inductance_at(d.l_per_phase_h, d.f_sw_hz) / n;
+  stage.r_dcr_ohm = std::max(ind.dcr(d.l_per_phase_h) / n, 1e-6);
+  stage.c_out_f = d.c_out_f;
+  stage.vout_ic_v = 1.0;
+  stage.i_load_a = i_load;
   spice::Circuit ckt;
-  const spice::NodeId vin_n = ckt.node("vin");
-  const spice::NodeId sw = ckt.node("sw");
-  const spice::NodeId lx = ckt.node("lx");
-  const spice::NodeId out = ckt.node("out");
-  ckt.add_vsource("v1", vin_n, spice::kGround, spice::Waveform::dc(vin));
-  const spice::PhaseClock clk(d.f_sw_hz, 1, a.duty);
-  ckt.add_switch("s_hs", vin_n, sw, r_hs, 1e8, clk.phase(0));
-  ckt.add_switch("s_ls", sw, spice::kGround, r_ls, 1e8, clk.phase(0, /*inverted=*/true));
-  ckt.add_inductor_ic("l1", sw, lx, l_eq, i_load);
-  ckt.add_resistor("r_dcr", lx, out, std::max(r_dcr, 1e-6));
-  ckt.add_capacitor_ic("cout", out, spice::kGround, d.c_out_f, 1.0);
-  ckt.add_isource("iload", out, spice::kGround, spice::Waveform::dc(i_load));
+  const core::BuckNetlist net = core::build_buck_netlist(ckt, stage);
+  const spice::NodeId out = net.out, sw = net.sw;
 
   spice::TranSpec spec;
   spec.tstop = 120.0 / d.f_sw_hz;
@@ -72,7 +68,9 @@ SimPoint simulate_buck(const core::BuckDesign& d, double vin, double i_load) {
   spec.record_nodes = {out, sw};
   const spice::TranResult res = spice::transient(ckt, spec);
 
-  // Average over the settled last quarter.
+  // Average over the settled last quarter; input current flows while the
+  // high-side switch conducts.
+  const spice::PhaseClock clk(d.f_sw_hz, 1, a.duty);
   const std::vector<double>& vo = res.at(out);
   const std::vector<double>& vsw = res.at(sw);
   double vout_avg = 0.0, p_in = 0.0;
@@ -80,7 +78,7 @@ SimPoint simulate_buck(const core::BuckDesign& d, double vin, double i_load) {
   for (std::size_t k = vo.size() * 3 / 4; k < vo.size(); ++k) {
     vout_avg += vo[k];
     const double t = res.time[k];
-    const double i_in = clk.active(0, t) ? (vin - vsw[k]) / r_hs : 0.0;
+    const double i_in = clk.active(0, t) ? (vin - vsw[k]) / stage.r_high_ohm : 0.0;
     p_in += vin * i_in;
     ++cnt;
   }

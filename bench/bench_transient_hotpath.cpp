@@ -105,20 +105,17 @@ void build_sc_pdn(spice::Circuit& ckt, spice::NodeId* vout) {
 // Fig. 8's power stage, folded to the single-phase equivalent: complementary
 // high/low switches into L + DCR + output cap, DC load.
 void build_buck(spice::Circuit& ckt, spice::NodeId* vout) {
-  const double f_sw = 100e6, duty = 0.55, i_load = 1.0;
-  const spice::NodeId vin = ckt.node("vin");
-  const spice::NodeId sw = ckt.node("sw");
-  const spice::NodeId lx = ckt.node("lx");
-  const spice::NodeId out = ckt.node("out");
-  ckt.add_vsource("v1", vin, spice::kGround, spice::Waveform::dc(1.8));
-  const spice::PhaseClock clk(f_sw, 1, duty);
-  ckt.add_switch("s_hs", vin, sw, 5e-3, 1e8, clk.phase(0));
-  ckt.add_switch("s_ls", sw, spice::kGround, 5e-3, 1e8, clk.phase(0, /*inverted=*/true));
-  ckt.add_inductor_ic("l1", sw, lx, 4e-9, i_load);
-  ckt.add_resistor("r_dcr", lx, out, 1e-3);
-  ckt.add_capacitor_ic("cout", out, spice::kGround, 150e-9, 1.0);
-  ckt.add_isource("iload", out, spice::kGround, spice::Waveform::dc(i_load));
-  *vout = out;
+  core::BuckStage stage;
+  stage.vin_v = 1.8;
+  stage.f_sw_hz = 100e6;
+  stage.duty = 0.55;
+  stage.r_high_ohm = stage.r_low_ohm = 5e-3;
+  stage.l_h = 4e-9;
+  stage.r_dcr_ohm = 1e-3;
+  stage.c_out_f = 150e-9;
+  stage.vout_ic_v = 1.0;
+  stage.i_load_a = 1.0;
+  *vout = core::build_buck_netlist(ckt, stage).out;
 }
 
 struct Scenario {

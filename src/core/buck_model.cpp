@@ -1,6 +1,7 @@
 #include "core/buck_model.hpp"
 
 #include "common/error.hpp"
+#include "spice/phase_clock.hpp"
 
 namespace ivory::core {
 
@@ -43,6 +44,22 @@ BuckAnalysis analyze_buck(const BuckDesign& d, double vin_v, double vout_v, doub
   IVORY_CHECK_FINITE(a.ripple_pp_v, "analyze_buck");
   IVORY_CHECK_FINITE(a.area_m2, "analyze_buck");
   return a;
+}
+
+BuckNetlist build_buck_netlist(spice::Circuit& c, const BuckStage& s) {
+  const spice::NodeId vin = c.node("vin");
+  const spice::NodeId sw = c.node("sw");
+  const spice::NodeId lx = c.node("lx");
+  const spice::NodeId out = c.node("out");
+  c.add_vsource("v1", vin, spice::kGround, spice::Waveform::dc(s.vin_v));
+  const spice::PhaseClock clk(s.f_sw_hz, 1, s.duty);
+  c.add_switch("s_hs", vin, sw, s.r_high_ohm, 1e8, clk.phase(0));
+  c.add_switch("s_ls", sw, spice::kGround, s.r_low_ohm, 1e8, clk.phase(0, /*inverted=*/true));
+  c.add_inductor_ic("l1", sw, lx, s.l_h, s.i_load_a);
+  c.add_resistor("r_dcr", lx, out, s.r_dcr_ohm);
+  c.add_capacitor_ic("cout", out, spice::kGround, s.c_out_f, s.vout_ic_v);
+  c.add_isource("iload", out, spice::kGround, spice::Waveform::dc(s.i_load_a));
+  return {sw, out};
 }
 
 }  // namespace ivory::core

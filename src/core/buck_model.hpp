@@ -15,6 +15,7 @@
 #include <cmath>
 
 #include "core/blocks.hpp"
+#include "spice/circuit.hpp"
 #include "tech/tech.hpp"
 
 namespace ivory::core {
@@ -223,5 +224,30 @@ inline BuckAnalysis buck_at(const BuckPrepared& k, const BuckRow& row, double f_
 /// conduction drops) puts it. Throws when the target is unreachable
 /// (vout >= vin) or the design fields are invalid.
 BuckAnalysis analyze_buck(const BuckDesign& d, double vin_v, double vout_v, double i_load_a);
+
+/// Element values of a buck power stage folded to its single-phase
+/// equivalent (N phases in parallel), for simulation against the MNA engine.
+struct BuckStage {
+  double vin_v = 0.0;
+  double f_sw_hz = 0.0;
+  double duty = 0.0;        ///< High-side on-fraction of each period.
+  double r_high_ohm = 0.0;  ///< High-side switch on-resistance.
+  double r_low_ohm = 0.0;   ///< Low-side switch on-resistance.
+  double l_h = 0.0;
+  double r_dcr_ohm = 0.0;
+  double c_out_f = 0.0;
+  double vout_ic_v = 0.0;   ///< Output capacitor's initial voltage.
+  double i_load_a = 0.0;    ///< DC load, also the inductor's initial current.
+};
+
+struct BuckNetlist {
+  spice::NodeId sw;  ///< Switch node.
+  spice::NodeId out;
+};
+
+/// Emits the stage: a DC source, complementary high/low switches clocked at
+/// f_sw, the inductor and its DCR into the output capacitor, a DC load.
+/// The sibling of build_sc_netlist (sc_topology.hpp) for the buck.
+BuckNetlist build_buck_netlist(spice::Circuit& c, const BuckStage& s);
 
 }  // namespace ivory::core

@@ -54,9 +54,9 @@ void check_system_params(const SystemParams& sys) {
 
 namespace {
 
-// Sort predicate shared by explore() and the funnel-backed overload:
-// feasible designs first, then strictly better under `target`. Strict-weak;
-// stable_sort therefore keeps the serial sweep order on ties.
+// explore()'s sort predicate: feasible designs first, then strictly better
+// under `target`. Strict-weak; stable_sort therefore keeps the serial sweep
+// order on ties.
 bool dse_better(const DseResult& a, const DseResult& b, OptTarget target) {
   if (a.feasible != b.feasible) return a.feasible;
   switch (target) {
@@ -521,13 +521,6 @@ std::vector<DseResult> explore_unsorted(const SystemParams& sys, SweepReport* re
 
 }  // namespace
 
-void sort_dse_results(std::vector<DseResult>& results, OptTarget target) {
-  std::stable_sort(results.begin(), results.end(),
-                   [target](const DseResult& a, const DseResult& b) {
-                     return dse_better(a, b, target);
-                   });
-}
-
 DseResult optimize_topology(const SystemParams& sys, IvrTopology topo, int n_distributed,
                             SweepReport* report) {
   IVORY_TRACE("dse.optimize_topology");
@@ -552,7 +545,9 @@ std::vector<DseResult> explore(const SystemParams& sys, OptTarget target, SweepR
   metrics::registry().counter("dse.sweeps.explore").add();
   check_system_params(sys);
   std::vector<DseResult> all = explore_unsorted(sys, report);
-  sort_dse_results(all, target);
+  std::stable_sort(all.begin(), all.end(), [target](const DseResult& a, const DseResult& b) {
+    return dse_better(a, b, target);
+  });
   return all;
 }
 

@@ -93,10 +93,6 @@ DseResult best_design(const SystemParams& sys, OptTarget target = OptTarget::Eff
 /// Shared by every sweep entry point, including the funnel in pareto.hpp.
 void check_system_params(const SystemParams& sys);
 
-/// Stable sort under the shared explore() ordering: feasible designs first,
-/// then best-`target`-first; ties keep their incoming order.
-void sort_dse_results(std::vector<DseResult>& results, OptTarget target);
-
 /// Candidate SC ratios n:m (n <= 6, coprime) whose ideal output can regulate
 /// down to vout from vin, sorted by ideal output closest to vout (highest
 /// attainable efficiency first).

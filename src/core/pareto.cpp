@@ -1112,14 +1112,4 @@ ParetoFront funnel_explore(const SystemParams& sys, const FunnelSpec& spec,
   return out;
 }
 
-std::vector<DseResult> explore(const SystemParams& sys, const FunnelSpec& spec,
-                               OptTarget target, SweepReport* report) {
-  const ParetoFront front = funnel_explore(sys, spec, report);
-  std::vector<DseResult> all;
-  all.reserve(front.points.size());
-  for (const ParetoPoint& pt : front.points) all.push_back(pt.design);
-  sort_dse_results(all, target);
-  return all;
-}
-
 }  // namespace ivory::core

@@ -141,12 +141,6 @@ struct ParetoFront {
 ParetoFront funnel_explore(const SystemParams& sys, const FunnelSpec& spec = {},
                            SweepReport* report = nullptr);
 
-/// Funnel-backed explore(): the frontier's exact designs sorted by `target`
-/// (feasible first), drop-in compatible with the exhaustive overload.
-std::vector<DseResult> explore(const SystemParams& sys, const FunnelSpec& spec,
-                               OptTarget target = OptTarget::Efficiency,
-                               SweepReport* report = nullptr);
-
 /// Entries the process-wide stage-3 simulation cache keeps (~0.4 MB of
 /// canonical-JSON keys); a full cache drops all but the most recently used
 /// three quarters of its entries.

@@ -1,7 +1,6 @@
 #include "core/pds.hpp"
 
 #include <cmath>
-#include <string>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -95,22 +94,16 @@ PdsBreakdown evaluate_pds_ivr(const SystemParams& sys, const pdn::PdnParams& pdn
   return b;
 }
 
-EvalOutcome<PdsBreakdown> try_evaluate_pds_offchip(const SystemParams& sys,
-                                                   const pdn::PdnParams& pdn_params,
-                                                   double v_core_nom_v, double guardband_v) {
-  return quarantine("evaluate_pds_offchip", "off-chip VRM PDS", [&] {
-    return evaluate_pds_offchip(sys, pdn_params, v_core_nom_v, guardband_v);
-  });
-}
-
-EvalOutcome<PdsBreakdown> try_evaluate_pds_ivr(const SystemParams& sys,
-                                               const pdn::PdnParams& pdn_params,
-                                               const DseResult& ivr, double v_core_nom_v,
-                                               double guardband_v) {
-  return quarantine("evaluate_pds_ivr",
-                    "IVR PDS @ dist " + std::to_string(ivr.n_distributed), [&] {
-                      return evaluate_pds_ivr(sys, pdn_params, ivr, v_core_nom_v, guardband_v);
-                    });
+PdsComparison compare_pds(const SystemParams& sys, int n_distributed, double v_core_nom_v,
+                          double guard_off_v, double guard_ivr_v) {
+  PdsComparison c;
+  c.ivr = optimize_topology(sys, IvrTopology::SwitchedCapacitor, n_distributed);
+  require(c.ivr.feasible, "pds: no feasible IVR design for these constraints");
+  const pdn::PdnParams pdn_params = pdn::PdnParams::gpuvolt_default();
+  c.offchip = evaluate_pds_offchip(sys, pdn_params, v_core_nom_v, guard_off_v);
+  c.on_ivr = evaluate_pds_ivr(sys, pdn_params, c.ivr, v_core_nom_v, guard_ivr_v);
+  c.improvement_points = (c.on_ivr.efficiency - c.offchip.efficiency) * 100.0;
+  return c;
 }
 
 }  // namespace ivory::core

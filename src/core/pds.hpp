@@ -8,7 +8,6 @@
 // over total power."
 #pragma once
 
-#include "common/outcome.hpp"
 #include "core/optimizer.hpp"
 #include "pdn/pdn.hpp"
 
@@ -40,15 +39,19 @@ PdsBreakdown evaluate_pds_offchip(const SystemParams& sys, const pdn::PdnParams&
 PdsBreakdown evaluate_pds_ivr(const SystemParams& sys, const pdn::PdnParams& pdn_params,
                               const DseResult& ivr, double v_core_nom_v, double guardband_v);
 
-/// Quarantined variants of the two compositions: any exception (bad inputs,
-/// infeasible IVR, non-finite intermediate) comes back as a structured
-/// Diagnostics instead of unwinding through a sweep.
-EvalOutcome<PdsBreakdown> try_evaluate_pds_offchip(const SystemParams& sys,
-                                                   const pdn::PdnParams& pdn_params,
-                                                   double v_core_nom_v, double guardband_v);
-EvalOutcome<PdsBreakdown> try_evaluate_pds_ivr(const SystemParams& sys,
-                                               const pdn::PdnParams& pdn_params,
-                                               const DseResult& ivr, double v_core_nom_v,
-                                               double guardband_v);
+/// The paper's PDS comparison (Fig. 13): the SC IVR the optimizer picks for
+/// `sys` at `n_distributed` domains, and both compositions on the GPUVolt
+/// PDN — the off-chip VRM at `guard_off_v`, the IVR at `guard_ivr_v`.
+struct PdsComparison {
+  DseResult ivr;
+  PdsBreakdown offchip;
+  PdsBreakdown on_ivr;
+  double improvement_points = 0.0;  ///< IVR minus off-chip efficiency, in points.
+};
+
+/// Throws InvalidParameter "pds: no feasible IVR design for these
+/// constraints" when the optimizer finds no feasible SC design.
+PdsComparison compare_pds(const SystemParams& sys, int n_distributed, double v_core_nom_v,
+                          double guard_off_v, double guard_ivr_v);
 
 }  // namespace ivory::core

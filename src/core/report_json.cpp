@@ -1,7 +1,5 @@
 #include "core/report_json.hpp"
 
-#include <algorithm>
-
 #include "tech/tech.hpp"
 
 namespace ivory {
@@ -271,10 +269,7 @@ Value to_json(const PdsBreakdown& b) {
   return Value(std::move(o));
 }
 
-Value to_json(const spice::TranResult& r, const std::vector<std::string>& node_names,
-              bool include_waveforms) {
-  require(node_names.size() == r.nodes.size(),
-          "to_json(TranResult): one name per recorded node required");
+Value::Object tran_counters(const spice::TranResult& r, std::size_t n_points) {
   Value::Object o;
   o.emplace_back("steps_taken", static_cast<std::uint64_t>(r.steps_taken));
   o.emplace_back("lu_factorizations", static_cast<std::uint64_t>(r.lu_factorizations));
@@ -285,24 +280,30 @@ Value to_json(const spice::TranResult& r, const std::vector<std::string>& node_n
   o.emplace_back("kernel", r.kernel);
   o.emplace_back("symbolic_analyses", static_cast<std::uint64_t>(r.symbolic_analyses));
   o.emplace_back("factor_nnz", static_cast<std::uint64_t>(r.factor_nnz));
-  o.emplace_back("n_points", static_cast<std::uint64_t>(r.time.size()));
+  o.emplace_back("n_points", static_cast<std::uint64_t>(n_points));
+  return o;
+}
 
+Value::Object node_summary(const std::string& name, const NodeStats& s) {
+  Value::Object n;
+  n.emplace_back("node", name);
+  n.emplace_back("final_v", s.final_v());
+  n.emplace_back("mean_v", s.mean_v());
+  n.emplace_back("min_v", s.lo);
+  n.emplace_back("max_v", s.hi);
+  return n;
+}
+
+Value to_json(const spice::TranResult& r, const std::vector<std::string>& node_names,
+              bool include_waveforms) {
+  require(node_names.size() == r.nodes.size(),
+          "to_json(TranResult): one name per recorded node required");
+  Value::Object o = tran_counters(r, r.time.size());
   Value::Array nodes;
   nodes.reserve(r.nodes.size());
   for (std::size_t i = 0; i < r.nodes.size(); ++i) {
     const std::vector<double>& v = r.voltages[i];
-    double lo = v.empty() ? 0.0 : v.front(), hi = lo, sum = 0.0;
-    for (double s : v) {
-      lo = std::min(lo, s);
-      hi = std::max(hi, s);
-      sum += s;
-    }
-    Value::Object n;
-    n.emplace_back("node", node_names[i]);
-    n.emplace_back("final_v", v.empty() ? 0.0 : v.back());
-    n.emplace_back("mean_v", v.empty() ? 0.0 : sum / static_cast<double>(v.size()));
-    n.emplace_back("min_v", lo);
-    n.emplace_back("max_v", hi);
+    Value::Object n = node_summary(node_names[i], NodeStats::of(v));
     if (include_waveforms) {
       Value::Array wave;
       wave.reserve(v.size());

@@ -11,6 +11,8 @@
 // throws on NaN/Inf as a last line of defense.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,41 @@ json::Value to_json(const ParetoFront& f);
 /// `r.nodes[i]`.
 json::Value to_json(const spice::TranResult& r, const std::vector<std::string>& node_names,
                     bool include_waveforms);
+
+/// The summary of one recorded node, folded sample by sample: min/max over
+/// every sample, the sum in arrival order. Every surface of the transient
+/// reply (the buffered reply, the streamed END, `ivory transient`'s table)
+/// folds with this, so they agree bit for bit.
+struct NodeStats {
+  double lo = 0.0, hi = 0.0, sum = 0.0, last = 0.0;
+  std::size_t n = 0;
+
+  void add(double s) {
+    if (n == 0) lo = hi = s;
+    lo = std::min(lo, s);
+    hi = std::max(hi, s);
+    sum += s;
+    last = s;
+    ++n;
+  }
+  double final_v() const { return n ? last : 0.0; }
+  double mean_v() const { return n ? sum / static_cast<double>(n) : 0.0; }
+
+  static NodeStats of(const std::vector<double>& v) {
+    NodeStats s;
+    for (const double x : v) s.add(x);
+    return s;
+  }
+};
+
+/// The transient reply's leading members: the simulator-cost counters of
+/// `r`, then "n_points" (the recorded row count, which a streamed run
+/// passes since its samples left the result).
+json::Value::Object tran_counters(const spice::TranResult& r, std::size_t n_points);
+
+/// One "nodes" entry of the transient reply without its waveform:
+/// node, final_v, mean_v, min_v, max_v.
+json::Value::Object node_summary(const std::string& name, const NodeStats& s);
 
 }  // namespace core
 }  // namespace ivory

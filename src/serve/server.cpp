@@ -2,7 +2,6 @@
 
 #include <csignal>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,44 +9,9 @@
 #include <cstring>
 #include <string_view>
 
+#include "serve/unix_socket.hpp"
+
 namespace ivory::serve {
-
-namespace {
-
-[[noreturn]] void sys_fail(const std::string& what) {
-  throw InvalidParameter("serve: " + what + ": " + std::strerror(errno));
-}
-
-/// Socket write that can never raise SIGPIPE: a client that disconnects
-/// mid-response must cost exactly its own connection, not the process.
-/// MSG_NOSIGNAL turns the signal into an EPIPE return. Returns false when
-/// the peer is gone (EPIPE, ECONNRESET, ...), so the caller can mark the
-/// consumer dead and stop producing for it.
-bool write_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;  // client went away; drop its remaining responses
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-/// One non-blocking send (DeliveryQueue::TryWrite): the bytes the socket
-/// takes now, 0 when its buffer is full, -1 when the peer is gone.
-std::ptrdiff_t try_send(int fd, const char* data, std::size_t n) {
-  for (;;) {
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (w >= 0) return w;
-    if (errno == EINTR) continue;
-    return errno == EAGAIN || errno == EWOULDBLOCK ? 0 : -1;
-  }
-}
-
-}  // namespace
 
 /// Shared between the reader thread, the writer thread, and the scheduler's
 /// producers (dispatcher sink sets plain slots, stream workers push frames).
@@ -66,28 +30,9 @@ Server::~Server() { stop(); }
 void Server::start() {
   require(!opt_.socket_path.empty(), "serve: socket_path is required");
   // Belt to MSG_NOSIGNAL's suspenders: any stray write to a dead peer (e.g.
-  // through a library that bypasses write_all) must not kill the server.
+  // through a library that bypasses send_all) must not kill the server.
   ::signal(SIGPIPE, SIG_IGN);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (opt_.socket_path.size() >= sizeof(addr.sun_path))
-    throw InvalidParameter("serve: socket path longer than sockaddr_un allows: " +
-                           opt_.socket_path);
-  std::strncpy(addr.sun_path, opt_.socket_path.c_str(), sizeof(addr.sun_path) - 1);
-
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) sys_fail("socket");
-  ::unlink(opt_.socket_path.c_str());  // stale socket from a previous run
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    sys_fail("bind " + opt_.socket_path);
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    sys_fail("listen");
-  }
+  listen_fd_ = listen_unix(opt_.socket_path, "serve");
 
   Scheduler::Options sopt;
   sopt.queue_capacity = opt_.queue_capacity;
@@ -127,11 +72,8 @@ void Server::stop() {
 
 void Server::accept_loop() {
   while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket closed by stop()
-    }
+    const int fd = accept_unix(listen_fd_);
+    if (fd < 0) return;  // listen socket closed by stop()
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->client = scheduler_->open_client();
@@ -152,7 +94,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
     std::string bytes;
     while (conn->delivery->next(bytes)) {
       if (!conn->alive.load(std::memory_order_relaxed)) continue;
-      if (!write_all(conn->fd, bytes.data(), bytes.size())) {
+      if (!send_all(conn->fd, bytes.data(), bytes.size())) {
         conn->alive.store(false, std::memory_order_relaxed);
         conn->delivery->shutdown();
       }
@@ -163,8 +105,7 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
   std::size_t scanned = 0;  // leading bytes of buf known to hold no '\n'
   char chunk[4096];
   while (true) {
-    const ssize_t r = ::read(conn->fd, chunk, sizeof chunk);
-    if (r < 0 && errno == EINTR) continue;
+    const std::ptrdiff_t r = recv_some(conn->fd, chunk, sizeof chunk);
     if (r <= 0) break;  // EOF or error: stop reading, flush what we have
     buf.append(chunk, static_cast<std::size_t>(r));
     std::size_t start = 0;
@@ -193,18 +134,9 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
 // ---------------------------------------------------------------------------
 
 BlockingClient::BlockingClient(const std::string& socket_path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path))
-    throw InvalidParameter("serve: socket path longer than sockaddr_un allows: " + socket_path);
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd_ < 0) sys_fail("socket");
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd_);
-    fd_ = -1;
-    sys_fail("connect " + socket_path);
-  }
+  fd_ = connect_unix(socket_path, "serve");
+  if (fd_ < 0)
+    throw InvalidParameter("serve: connect " + socket_path + ": " + std::strerror(errno));
 }
 
 BlockingClient::~BlockingClient() {
@@ -214,7 +146,7 @@ BlockingClient::~BlockingClient() {
 void BlockingClient::send_line(const std::string& line) {
   std::string out = line;
   out.push_back('\n');
-  write_all(fd_, out.data(), out.size());
+  send_all(fd_, out.data(), out.size());
 }
 
 std::string BlockingClient::recv_line() {
@@ -228,8 +160,7 @@ std::string BlockingClient::recv_line() {
     }
     scanned = buf_.size();
     char chunk[4096];
-    const ssize_t r = ::read(fd_, chunk, sizeof chunk);
-    if (r < 0 && errno == EINTR) continue;
+    const std::ptrdiff_t r = recv_some(fd_, chunk, sizeof chunk);
     if (r <= 0) throw NumericalError("serve: connection closed while awaiting response");
     buf_.append(chunk, static_cast<std::size_t>(r));
   }
@@ -242,12 +173,9 @@ std::size_t BlockingClient::recv_raw(char* out, std::size_t cap) {
     buf_.erase(0, n);
     return n;
   }
-  while (true) {
-    const ssize_t r = ::read(fd_, out, cap);
-    if (r < 0 && errno == EINTR) continue;
-    if (r < 0) throw NumericalError("serve: socket read failed while streaming");
-    return static_cast<std::size_t>(r);
-  }
+  const std::ptrdiff_t r = recv_some(fd_, out, cap);
+  if (r < 0) throw NumericalError("serve: socket read failed while streaming");
+  return static_cast<std::size_t>(r);
 }
 
 }  // namespace ivory::serve

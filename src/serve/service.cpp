@@ -138,6 +138,13 @@ json::Value behavioural_summary(const core::DynWaveform& w) {
   return json::Value(std::move(o));
 }
 
+/// `obj.write()` without its closing '}', ready for more members.
+std::string open_object(json::Value obj) {
+  std::string s = obj.write();
+  s.pop_back();
+  return s;
+}
+
 /// Registry handles for the streamed pipeline.
 struct StreamMetrics {
   metrics::Counter& requests = metrics::registry().counter("serve.stream.requests");
@@ -194,6 +201,30 @@ SpicePrep prepare_spice(const TransientParams& p, std::size_t max_samples) {
   sp.names.reserve(nodes.size());
   for (const spice::NodeId n : nodes) sp.names.push_back(sp.ckt.node_name(n));
   return sp;
+}
+
+std::size_t stream_spice(SpicePrep& sp, const std::string& id_json, StreamEmitter& em) {
+  Wave1Stream ws(em, id_json, sp.names, /*has_time=*/true);
+  std::vector<core::NodeStats> stats(sp.names.size());
+  sp.spec.sample_sink = [&ws, &stats](double t, const double* v, std::size_t n) {
+    ws.add_row(t, v, n);
+    for (std::size_t i = 0; i < n; ++i) stats[i].add(v[i]);
+  };
+  const spice::TranResult res = spice::transient(sp.ckt, sp.spec);
+  // core::to_json's members in its order, each node's "v" and the trailing
+  // "time_s" left open for their columns.
+  std::vector<std::string> pieces;
+  std::string seg = open_object(core::tran_counters(res, ws.rows())) + ",\"nodes\":[";
+  for (std::size_t i = 0; i < stats.size(); ++i) {
+    if (i) seg += "]},";
+    seg += open_object(core::node_summary(sp.names[i], stats[i])) + ",\"v\":[";
+    pieces.push_back(std::move(seg));
+    seg.clear();
+  }
+  seg += stats.empty() ? "],\"time_s\":[" : "]}],\"time_s\":[";
+  pieces.push_back(std::move(seg));
+  ws.finish(std::move(pieces));
+  return ws.rows();
 }
 
 Service::Service(ServiceOptions opt)
@@ -430,19 +461,13 @@ std::string Service::evaluate(const Request& req) {
     }
     case Op::Pds: {
       const PdsParams p = pds_params(req.body);
-      const core::DseResult ivr = core::optimize_topology(
-          p.sys, core::IvrTopology::SwitchedCapacitor, p.n_distributed);
-      require(ivr.feasible, "pds: no feasible IVR design for these constraints");
-      const pdn::PdnParams pdn_params = pdn::PdnParams::gpuvolt_default();
-      const core::PdsBreakdown off =
-          core::evaluate_pds_offchip(p.sys, pdn_params, p.v_nom_v, p.guard_off_v);
-      const core::PdsBreakdown on =
-          core::evaluate_pds_ivr(p.sys, pdn_params, ivr, p.v_nom_v, p.guard_ivr_v);
+      const core::PdsComparison c = core::compare_pds(p.sys, p.n_distributed, p.v_nom_v,
+                                                      p.guard_off_v, p.guard_ivr_v);
       Value::Object o;
-      o.emplace_back("ivr_design", core::to_json(ivr));
-      o.emplace_back("offchip", core::to_json(off));
-      o.emplace_back("ivr", core::to_json(on));
-      o.emplace_back("improvement_points", (on.efficiency - off.efficiency) * 100.0);
+      o.emplace_back("ivr_design", core::to_json(c.ivr));
+      o.emplace_back("offchip", core::to_json(c.offchip));
+      o.emplace_back("ivr", core::to_json(c.on_ivr));
+      o.emplace_back("improvement_points", c.improvement_points);
       return Value(std::move(o)).write();
     }
     case Op::Transient: {
@@ -529,19 +554,16 @@ void Service::stream_wave1(const Request& req, StreamEmitter& em) {
 
   if (p.kind == TransientParams::Kind::Spice) {
     SpicePrep sp = prepare_spice(p, opt_.max_samples);
-    Wave1TransientStream ws(em, id_json, sp.names);
-    sp.spec.sample_sink = ws.sink();
-    const spice::TranResult res = spice::transient(sp.ckt, sp.spec);
-    ws.finish(res);
+    stream_spice(sp, id_json, em);
     return;
   }
   const core::DynWaveform w = behavioural_waveform(p, opt_.max_samples);
-  Wave1ColumnStream cs(em, id_json, "waveform");
+  Wave1Stream ws(em, id_json, {"waveform"}, /*has_time=*/false);
   for (const double v : w.v) {
     em.check_abort();
-    cs.push(v);
+    ws.add_row(0.0, &v, 1);
   }
-  cs.finish(behavioural_summary(w).write());
+  ws.finish({open_object(behavioural_summary(w)) + ",\"waveform\":["});
 }
 
 ServiceStats Service::stats() const {

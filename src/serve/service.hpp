@@ -50,6 +50,14 @@ struct SpicePrep {
 /// exceeds `max_samples`, or on a bad netlist or node name.
 SpicePrep prepare_spice(const TransientParams& p, std::size_t max_samples);
 
+/// Runs a prepared transient with its samples streamed as one wave1 stream
+/// through `em` (`id_json`: the request id, serialized). The reassembled
+/// line equals `{"id":<id>,"ok":true,"result":` +
+/// core::to_json(result, sp.names, true).write() + `}` of the buffered run.
+/// `Service::handle_stream` and `ivory transient --encoding wave1` both
+/// stream through this. Returns the rows streamed.
+std::size_t stream_spice(SpicePrep& sp, const std::string& id_json, StreamEmitter& em);
+
 struct ServiceOptions {
   std::size_t cache_capacity = 4096;  ///< entries across all shards
   std::size_t cache_shards = 8;

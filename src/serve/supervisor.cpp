@@ -1,9 +1,7 @@
 #include "serve/supervisor.hpp"
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -14,6 +12,7 @@
 #include "common/json.hpp"
 #include "common/metrics.hpp"
 #include "serve/frame.hpp"
+#include "serve/unix_socket.hpp"
 
 namespace ivory::serve {
 
@@ -21,48 +20,6 @@ namespace {
 
 [[noreturn]] void sys_fail(const std::string& what) {
   throw InvalidParameter("fleet: " + what + ": " + std::strerror(errno));
-}
-
-void fill_addr(sockaddr_un& addr, const std::string& path) {
-  addr = {};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path))
-    throw InvalidParameter("fleet: socket path longer than sockaddr_un allows: " + path);
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-}
-
-/// Connect to a Unix socket; returns -1 on failure. `timeout_ms` > 0 also
-/// arms send/recv timeouts so a hung peer cannot wedge the caller.
-int connect_unix(const std::string& path, int timeout_ms) {
-  sockaddr_un addr;
-  fill_addr(addr, path);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  if (timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  }
-  return fd;
-}
-
-bool send_all(int fd, const char* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
 }
 
 std::size_t count_newlines(const char* data, std::size_t n) {
@@ -183,45 +140,41 @@ void Supervisor::start() {
   require(opt_.workers >= 1, "fleet: need at least one worker");
   ::signal(SIGPIPE, SIG_IGN);
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    workers_.clear();
-    for (int i = 0; i < opt_.workers; ++i) {
-      auto w = std::make_unique<Worker>();
-      w->index = i;
-      w->socket = opt_.socket_path + ".w" + std::to_string(i);
-      workers_.push_back(std::move(w));
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  // Every path is checked before the first fork: past it, a throw must not
+  // leave a worker behind.
+  check_socket_path(opt_.socket_path, "fleet");
+  workers_.clear();
+  for (int i = 0; i < opt_.workers; ++i) {
+    auto w = std::make_unique<Worker>();
+    w->index = i;
+    w->socket = opt_.socket_path + ".w" + std::to_string(i);
+    check_socket_path(w->socket, "fleet");
+    workers_.push_back(std::move(w));
+  }
+  try {
     for (auto& w : workers_) {
       spawn_locked(*w);
-      if (!wait_ready(*w)) {
-        const std::string sock = w->socket;
-        for (auto& v : workers_)
-          if (v->pid > 0) ::kill(v->pid, SIGKILL);
-        for (auto& v : workers_)
-          if (v->pid > 0) ::waitpid(v->pid, nullptr, 0);
-        throw InvalidParameter("fleet: worker did not come up on " + sock);
-      }
+      if (!wait_ready(*w))
+        throw InvalidParameter("fleet: worker did not come up on " + w->socket);
       w->state = Worker::State::Healthy;
     }
+    listen_fd_ = listen_unix(opt_.socket_path, "fleet");
+  } catch (...) {
+    // running_ is still false, so neither stop() nor the destructor would
+    // reap what was spawned: kill, reap and unlink it here.
+    for (auto& w : workers_)
+      if (w->pid > 0) ::kill(w->pid, SIGKILL);
+    for (auto& w : workers_) {
+      if (w->pid > 0) ::waitpid(w->pid, nullptr, 0);
+      w->pid = -1;
+      w->state = Worker::State::Stopped;
+      ::unlink(w->socket.c_str());
+    }
+    throw;
   }
 
-  sockaddr_un addr;
-  fill_addr(addr, opt_.socket_path);
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) sys_fail("socket");
-  ::unlink(opt_.socket_path.c_str());
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    sys_fail("bind " + opt_.socket_path);
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    sys_fail("listen");
-  }
-
+  // The threads take mu_ once start() returns.
   running_.store(true);
   stopping_.store(false);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -264,7 +217,7 @@ bool Supervisor::wait_ready(Worker& w) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(opt_.spawn_wait_ms);
   while (std::chrono::steady_clock::now() < deadline) {
-    const int fd = connect_unix(w.socket, 0);
+    const int fd = connect_unix(w.socket, "fleet");
     if (fd >= 0) {
       ::close(fd);
       return true;
@@ -300,16 +253,15 @@ void Supervisor::note_death_locked(Worker& w,
 }
 
 bool Supervisor::ping(const std::string& socket) const {
-  const int fd = connect_unix(socket, opt_.ping_timeout_ms);
+  const int fd = connect_unix(socket, "fleet", opt_.ping_timeout_ms);
   if (fd < 0) return false;
   const std::string req = "{\"id\":\"fleet-health\",\"op\":\"stats\"}\n";
   bool ok = send_all(fd, req.data(), req.size());
   char buf[4096];
   bool got_line = false;
   while (ok && !got_line) {
-    const ssize_t r = ::recv(fd, buf, sizeof buf, 0);
+    const std::ptrdiff_t r = recv_some(fd, buf, sizeof buf);
     if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
       ok = false;
       break;
     }
@@ -400,7 +352,7 @@ int Supervisor::pick_and_connect() {
       }
     }
     if (socket.empty()) return -1;
-    const int fd = connect_unix(socket, 0);
+    const int fd = connect_unix(socket, "fleet");
     if (fd >= 0) return fd;
     // Healthy-by-bookkeeping but not accepting: leave the diagnosis to the
     // monitor (waitpid/ping) and try the next worker.
@@ -419,15 +371,10 @@ void Supervisor::prune_proxies_locked() {
 
 void Supervisor::accept_loop() {
   while (running_.load()) {
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket closed by stop()
-    }
+    const int client = accept_unix(listen_fd_);
+    if (client < 0) return;  // listen socket closed by stop()
     // A stuck client must not wedge a pump thread forever.
-    timeval tv{};
-    tv.tv_sec = 30;
-    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+    set_send_timeout(client, 30000);
 
     const int worker = pick_and_connect();
     if (worker < 0) {
@@ -451,8 +398,7 @@ void Supervisor::accept_loop() {
     p->t_c2w = std::thread([p] {
       char buf[1 << 16];
       while (true) {
-        const ssize_t r = ::recv(p->client_fd, buf, sizeof buf, 0);
-        if (r < 0 && errno == EINTR) continue;
+        const std::ptrdiff_t r = recv_some(p->client_fd, buf, sizeof buf);
         if (r <= 0) break;
         p->requests.fetch_add(count_newlines(buf, static_cast<std::size_t>(r)));
         if (!send_all(p->worker_fd, buf, static_cast<std::size_t>(r))) break;
@@ -466,8 +412,7 @@ void Supervisor::accept_loop() {
       char buf[1 << 16];
       std::string fwd;
       while (true) {
-        const ssize_t r = ::recv(p->worker_fd, buf, sizeof buf, 0);
-        if (r < 0 && errno == EINTR) continue;
+        const std::ptrdiff_t r = recv_some(p->worker_fd, buf, sizeof buf);
         if (r <= 0) break;
         // Frame-aware accounting: '\n' inside a binary frame is payload, not
         // a response boundary. The scanner also withholds a partially

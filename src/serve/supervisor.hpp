@@ -93,7 +93,9 @@ class Supervisor {
 
   /// Spawns the workers (waiting for each socket to accept), binds the
   /// public socket, starts the acceptor and monitor threads. Throws
-  /// InvalidParameter when the fleet cannot come up.
+  /// InvalidParameter when the fleet cannot come up: an overlong socket
+  /// path before any worker is spawned, a worker or bind failure after
+  /// killing, reaping and unlinking every worker spawned so far.
   void start();
 
   /// Graceful drain; see the header comment. Idempotent.

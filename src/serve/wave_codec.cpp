@@ -114,13 +114,6 @@ void append_column(std::string& out, const std::vector<double>& col) {
   }
 }
 
-/// `obj.write()` with the closing '}' removed, ready for member splicing.
-std::string open_object(const json::Value& obj) {
-  std::string s = obj.write();
-  s.pop_back();  // write() of an object always ends in '}'
-  return s;
-}
-
 }  // namespace
 
 Wave1Encoder::Wave1Encoder(std::size_t n_value_cols, bool has_time)
@@ -197,112 +190,31 @@ void Wave1Decoder::decode_block(std::string_view payload) {
   rows_ += n_rows;
 }
 
-Wave1TransientStream::Wave1TransientStream(StreamEmitter& em, std::string id_json,
-                                           std::vector<std::string> names)
+Wave1Stream::Wave1Stream(StreamEmitter& em, std::string id_json,
+                         const std::vector<std::string>& columns, bool has_time)
     : em_(em),
       id_json_(std::move(id_json)),
-      names_(std::move(names)),
-      enc_(names_.size(), /*has_time=*/true),
-      stats_(names_.size()) {
-  json::Value::Array cols;
-  cols.reserve(names_.size());
-  for (const std::string& n : names_) cols.push_back(n);
-  std::string header = "{\"id\":" + id_json_ + ",\"encoding\":\"wave1\",\"columns\":" +
-                       json::Value(std::move(cols)).write() + ",\"has_time\":true}";
-  em_.header(header);
+      n_cols_(columns.size() + (has_time ? 1 : 0)),
+      enc_(columns.size(), has_time) {
+  json::Value::Array cols(columns.begin(), columns.end());
+  em_.header("{\"id\":" + id_json_ + ",\"encoding\":\"wave1\",\"columns\":" +
+             json::Value(std::move(cols)).write() + ",\"has_time\":" +
+             (has_time ? "true" : "false") + "}");
 }
 
-std::function<void(double, const double*, std::size_t)> Wave1TransientStream::sink() {
-  return [this](double t, const double* v, std::size_t n) {
-    enc_.add_row(t, v, n);
-    for (std::size_t i = 0; i < n; ++i) stats_[i].add(v[i]);
-    ++rows_;
-    if (enc_.full(em_.chunk_bytes())) em_.chunk(enc_.encode_block());
-  };
-}
-
-void Wave1TransientStream::finish(const spice::TranResult& res) {
+void Wave1Stream::finish(std::vector<std::string> pieces) {
+  require(pieces.size() == n_cols_, "wave1: one layout piece per column required");
   if (!enc_.empty()) em_.chunk(enc_.encode_block());
-
-  // Counters object: the exact leading members of core::to_json(TranResult),
-  // with n_points taken from the streamed row count.
-  json::Value::Object o;
-  o.emplace_back("steps_taken", static_cast<std::uint64_t>(res.steps_taken));
-  o.emplace_back("lu_factorizations", static_cast<std::uint64_t>(res.lu_factorizations));
-  o.emplace_back("lu_cache_hits", static_cast<std::uint64_t>(res.lu_cache_hits));
-  o.emplace_back("lu_cache_evictions",
-                 static_cast<std::uint64_t>(res.lu_cache_evictions));
-  o.emplace_back("max_resident_factorizations",
-                 static_cast<std::uint64_t>(res.max_resident_factorizations));
-  o.emplace_back("kernel", res.kernel);
-  o.emplace_back("symbolic_analyses", static_cast<std::uint64_t>(res.symbolic_analyses));
-  o.emplace_back("factor_nnz", static_cast<std::uint64_t>(res.factor_nnz));
-  o.emplace_back("n_points", static_cast<std::uint64_t>(rows_));
-
   json::Value::Array layout;
-  std::string seg = "{\"id\":" + id_json_ + ",\"ok\":true,\"result\":" +
-                    open_object(json::Value(std::move(o))) + ",\"nodes\":[";
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (i) seg += "]},";
-    const ColumnStats& st = stats_[i];
-    json::Value::Object n;
-    n.emplace_back("node", names_[i]);
-    n.emplace_back("final_v", st.final_v());
-    n.emplace_back("mean_v", st.mean_v());
-    n.emplace_back("min_v", st.lo);
-    n.emplace_back("max_v", st.hi);
-    seg += open_object(json::Value(std::move(n))) + ",\"v\":[";
-    layout.push_back(std::move(seg));
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    layout.push_back(i == 0 ? "{\"id\":" + id_json_ + ",\"ok\":true,\"result\":" + pieces[0]
+                            : std::move(pieces[i]));
     layout.push_back(static_cast<double>(i));
-    seg.clear();
   }
-  seg += names_.empty() ? "],\"time_s\":[" : "]}],\"time_s\":[";
-  layout.push_back(std::move(seg));
-  layout.push_back(static_cast<double>(names_.size()));  // the time column
   layout.push_back(std::string("]}}"));
-
-  std::string payload = "{\"id\":" + id_json_ + ",\"status\":\"ok\",\"rows\":" +
-                        std::to_string(rows_) + ",\"chunks\":" +
-                        std::to_string(em_.chunks_emitted()) + ",\"layout\":" +
-                        json::Value(std::move(layout)).write() + "}";
-  em_.end(payload);
-}
-
-Wave1ColumnStream::Wave1ColumnStream(StreamEmitter& em, std::string id_json,
-                                     std::string column_name)
-    : em_(em),
-      id_json_(std::move(id_json)),
-      column_name_(std::move(column_name)),
-      enc_(1, /*has_time=*/false) {
-  std::string header = "{\"id\":" + id_json_ + ",\"encoding\":\"wave1\",\"columns\":[" +
-                       json::escape_string(column_name_) + "],\"has_time\":false}";
-  em_.header(header);
-}
-
-void Wave1ColumnStream::push(double v) {
-  enc_.add_row(0.0, &v, 1);
-  ++rows_;
-  if (enc_.full(em_.chunk_bytes())) em_.chunk(enc_.encode_block());
-}
-
-void Wave1ColumnStream::finish(const std::string& summary_object_json) {
-  if (!enc_.empty()) em_.chunk(enc_.encode_block());
-  require(!summary_object_json.empty() && summary_object_json.back() == '}',
-          "wave1: summary must be a serialized JSON object");
-  std::string prefix = summary_object_json;
-  prefix.pop_back();
-
-  json::Value::Array layout;
-  layout.push_back("{\"id\":" + id_json_ + ",\"ok\":true,\"result\":" + prefix + ",\"" +
-                   column_name_ + "\":[");
-  layout.push_back(0.0);
-  layout.push_back(std::string("]}}"));
-
-  std::string payload = "{\"id\":" + id_json_ + ",\"status\":\"ok\",\"rows\":" +
-                        std::to_string(rows_) + ",\"chunks\":" +
-                        std::to_string(em_.chunks_emitted()) + ",\"layout\":" +
-                        json::Value(std::move(layout)).write() + "}";
-  em_.end(payload);
+  em_.end("{\"id\":" + id_json_ + ",\"status\":\"ok\",\"rows\":" + std::to_string(rows_) +
+          ",\"chunks\":" + std::to_string(em_.chunks_emitted()) +
+          ",\"layout\":" + json::Value(std::move(layout)).write() + "}");
 }
 
 void StreamAssembler::on_frame(const Frame& f) {

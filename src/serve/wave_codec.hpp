@@ -30,7 +30,6 @@
 // doubles (json::append_number — the exact Value::write() spelling).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -40,28 +39,8 @@
 
 #include "common/json.hpp"
 #include "serve/frame.hpp"
-#include "spice/analysis.hpp"
 
 namespace ivory::serve {
-
-/// Running per-column statistics in the exact floating-point accumulation
-/// order of core::to_json(TranResult): min/max fold every sample (the first
-/// one twice, harmlessly), sum adds in arrival order.
-struct ColumnStats {
-  double lo = 0.0, hi = 0.0, sum = 0.0, last = 0.0;
-  std::size_t n = 0;
-
-  void add(double s) {
-    if (n == 0) { lo = s; hi = s; }
-    lo = std::min(lo, s);
-    hi = std::max(hi, s);
-    sum += s;
-    last = s;
-    ++n;
-  }
-  double final_v() const { return n ? last : 0.0; }
-  double mean_v() const { return n ? sum / static_cast<double>(n) : 0.0; }
-};
 
 /// Buffers rows and encodes full wave1 blocks sized to a chunk budget.
 class Wave1Encoder {
@@ -106,54 +85,38 @@ class Wave1Decoder {
   std::vector<std::vector<double>> cols_;
 };
 
-/// Producer for a streamed SPICE transient: emits the HEADER up front, turns
-/// the engine's sample callback into wave1 CHUNKs, and builds the END layout
-/// from the finished TranResult's counters plus the streamed statistics.
-/// Reassembled output is byte-identical to
-/// `{"id":<id>,"ok":true,"result":` + core::to_json(res, names, true).write() + `}`.
-class Wave1TransientStream {
+/// Producer of one wave1 stream: emits the HEADER on construction, turns
+/// rows into CHUNKs sized to the emitter's chunk budget, and finish() emits
+/// the END. A stream type supplies only its rows and its END layout.
+class Wave1Stream {
  public:
-  /// Emits the HEADER frame. `id_json` is the request id already serialized.
-  Wave1TransientStream(StreamEmitter& em, std::string id_json,
-                       std::vector<std::string> names);
+  /// `id_json` is the request id already serialized; `columns` names the
+  /// value columns in row order.
+  Wave1Stream(StreamEmitter& em, std::string id_json, const std::vector<std::string>& columns,
+              bool has_time);
 
-  /// Engine-facing sample callback (rows in record-node order).
-  std::function<void(double, const double*, std::size_t)> sink();
+  Wave1Stream(const Wave1Stream&) = delete;  ///< sinks hold its address
+  Wave1Stream& operator=(const Wave1Stream&) = delete;
 
-  /// Flushes buffered rows and emits the END frame. `res` supplies the
-  /// counters; its waveform vectors are expected to be empty (they streamed).
-  void finish(const spice::TranResult& res);
+  void add_row(double t, const double* v, std::size_t n) {
+    enc_.add_row(t, v, n);
+    ++rows_;
+    if (enc_.full(em_.chunk_bytes())) em_.chunk(enc_.encode_block());
+  }
+
+  /// Flushes the buffered rows and emits the END. `pieces[i]` is the result
+  /// text before column i (the value columns in HEADER order, then the time
+  /// column when has_time), and the last column is the result's last
+  /// member, so the reassembled line is
+  /// `{"id":<id>,"ok":true,"result":` pieces[0] col0 ... pieces[k] colk `]}}`.
+  void finish(std::vector<std::string> pieces);
 
   std::size_t rows() const { return rows_; }
 
  private:
   StreamEmitter& em_;
   std::string id_json_;
-  std::vector<std::string> names_;
-  Wave1Encoder enc_;
-  std::vector<ColumnStats> stats_;
-  std::size_t rows_ = 0;
-};
-
-/// Producer for a streamed single-column waveform (the behavioural transient
-/// ops): one value column, no time axis. finish() splices the caller's
-/// summary object (the result object *without* its trailing waveform member)
-/// around the streamed column.
-class Wave1ColumnStream {
- public:
-  Wave1ColumnStream(StreamEmitter& em, std::string id_json, std::string column_name);
-
-  void push(double v);
-
-  /// `summary_object_json` is the result object as Value::write() renders it,
-  /// without the waveform member. The reassembled line is byte-identical to
-  /// ok_response(id, <summary with `"<column>":[...]` appended last>).
-  void finish(const std::string& summary_object_json);
-
- private:
-  StreamEmitter& em_;
-  std::string id_json_;
-  std::string column_name_;
+  std::size_t n_cols_;
   Wave1Encoder enc_;
   std::size_t rows_ = 0;
 };

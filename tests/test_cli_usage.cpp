@@ -68,10 +68,20 @@ TEST(CliUsage, DanglingFlagValueExits2) {
 }
 
 TEST(CliUsage, RuntimeFailureExits1WithoutUsageSpam) {
-  // A well-formed invocation that fails evaluation: exit 1 and no usage dump.
-  const RunResult r = run_cli("sc --n 0 --m 1", "2>&1 1>/dev/null");
-  EXPECT_EQ(r.exit_code, 1);
-  EXPECT_EQ(r.output.find("ivory explore"), std::string::npos);
+  // Well-formed invocations that fail evaluation: exit 1, the failure on
+  // stderr, no usage dump and nothing on stdout.
+  struct Case {
+    const char* args;
+    const char* message;
+  };
+  for (const Case& c : {Case{"sc --n 0 --m 1", "need ratio n:m"},
+                        Case{"pds --area 0.01", "no feasible IVR design for these constraints"}}) {
+    const RunResult r = run_cli(c.args, "2>&1 1>/dev/null");
+    EXPECT_EQ(r.exit_code, 1) << c.args;
+    EXPECT_NE(r.output.find(c.message), std::string::npos) << c.args << ": " << r.output;
+    EXPECT_EQ(r.output.find("ivory explore"), std::string::npos) << c.args;
+    EXPECT_TRUE(run_cli(c.args, "2>/dev/null").output.empty()) << c.args;
+  }
 }
 
 // Flags go through the serve request schema, so an input the schema does not

@@ -6,17 +6,20 @@
 // same process tree `ivory serve --workers N` runs in production.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "serve/frame.hpp"
 #include "serve/server.hpp"
@@ -314,6 +317,50 @@ TEST_F(FleetTest, StartFailsCleanlyWhenWorkersCannotComeUp) {
   Supervisor fleet(o);
   EXPECT_THROW(fleet.start(), std::exception);
   EXPECT_FALSE(fleet.running());
+}
+
+TEST_F(FleetTest, StartFailureLeavesNoWorkerRunning) {
+  // The workers come up, then the public bind fails: a directory holds the
+  // path. start() must not return with a worker alive, unreaped or
+  // holding its socket file.
+  SupervisorOptions o = base_options(2);
+  fs::create_directory(o.socket_path);
+  Supervisor fleet(o);
+  EXPECT_THROW(fleet.start(), InvalidParameter);
+  EXPECT_FALSE(fleet.running());
+  for (const WorkerStatus& w : fleet.stats().workers) {
+    EXPECT_FALSE(fs::exists(w.socket)) << w.socket;
+    if (w.pid <= 0) continue;
+    ADD_FAILURE() << "worker " << w.index << " left " << w.state << " as pid " << w.pid;
+    ::kill(w.pid, SIGKILL);  // so a failing run leaks nothing
+    ::waitpid(w.pid, nullptr, 0);
+  }
+}
+
+TEST_F(FleetTest, OverlongSocketPathIsRefusedNamingIt) {
+  // sockaddr_un holds 108 bytes; the server, the client and the fleet each
+  // refuse a longer path with InvalidParameter naming it, and the fleet
+  // does so before it spawns a worker.
+  const std::string path = dir_ + "/" + std::string(200, 's');
+  const auto refused = [&path](const std::function<void()>& f) {
+    try {
+      f();
+    } catch (const InvalidParameter& e) {
+      return std::string(e.what()).find(path) != std::string::npos;
+    }
+    return false;
+  };
+  ServerOptions so;
+  so.socket_path = path;
+  Server server(so);
+  EXPECT_TRUE(refused([&] { server.start(); }));
+  EXPECT_FALSE(server.running());
+  EXPECT_TRUE(refused([&] { BlockingClient client(path); }));
+  SupervisorOptions fo = base_options(1);
+  fo.socket_path = path;
+  Supervisor fleet(fo);
+  EXPECT_TRUE(refused([&] { fleet.start(); }));
+  for (const WorkerStatus& w : fleet.stats().workers) EXPECT_EQ(w.pid, -1) << w.socket;
 }
 
 }  // namespace

@@ -83,9 +83,10 @@ TEST(MetamorphicSc, InterleavingNeverIncreasesRipple) {
     ScDesign d = base_sc();
     d.n_interleave = ilv;
     const ScAnalysis r = analyze_sc(d, vin, i_load);
-    if (prev >= 0.0)
+    if (prev >= 0.0) {
       EXPECT_LE(r.ripple_pp_v, prev * (1.0 + 1e-12))
           << "ripple rose when interleaving " << ilv << " ways";
+    }
     prev = r.ripple_pp_v;
   }
 }
@@ -110,8 +111,9 @@ TEST(MetamorphicBuck, RippleMonotoneDecreasingInInductance) {
     EXPECT_NEAR(r.i_ripple_phase_a, (vin - vout) * r.duty / (r.l_eff_h * d.f_sw_hz),
                 r.i_ripple_phase_a * 1e-12)
         << "volt-second law broken at L=" << l;
-    if (prev >= 0.0)
+    if (prev >= 0.0) {
       EXPECT_LE(r.ripple_pp_v, prev * (1.0 + 1e-12)) << "ripple rose at L=" << l;
+    }
     prev = r.ripple_pp_v;
 
     // The self-resonance rolloff can only ever *reduce* the effective
@@ -133,8 +135,9 @@ TEST(MetamorphicBuck, RippleMonotoneDecreasingInSwitchingFrequency) {
     BuckDesign d = base_buck();
     d.f_sw_hz = f;
     const BuckAnalysis r = analyze_buck(d, vin, vout, i_load);
-    if (prev >= 0.0)
+    if (prev >= 0.0) {
       EXPECT_LE(r.ripple_pp_v, prev * (1.0 + 1e-12)) << "ripple rose at f_sw=" << f;
+    }
     prev = r.ripple_pp_v;
   }
 }
@@ -153,8 +156,9 @@ TEST(MetamorphicBuck, InterleavingNeverIncreasesOutputRipple) {
       EXPECT_LE(factor, 1.0 + 1e-12)
           << "interleaving amplified ripple at N=" << phases << " D=" << duty;
       const double nd = phases * duty;
-      if (std::abs(nd - std::round(nd)) < 1e-12 && phases > 1)
+      if (std::abs(nd - std::round(nd)) < 1e-12 && phases > 1) {
         EXPECT_NEAR(factor, 0.0, 1e-9) << "no perfect cancellation at N*D=" << nd;
+      }
     }
   }
 
@@ -216,8 +220,9 @@ TEST(MetamorphicDldo, RippleMonotoneDecreasingInComparatorInterleave) {
     DldoDesign d = base_dldo();
     d.n_comparators = n_comp;
     const DldoAnalysis r = analyze_dldo(d, vin, vout, i_load);
-    if (n_comp > 1)
+    if (n_comp > 1) {
       EXPECT_LT(r.ripple_pp_v, prev) << "ripple did not shrink at n_comp=" << n_comp;
+    }
     prev = r.ripple_pp_v;
     // Exact scaling, not just direction: ripple * n_comp is invariant.
     const DldoAnalysis one = analyze_dldo(base_dldo(), vin, vout, i_load);

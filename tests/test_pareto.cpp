@@ -342,21 +342,6 @@ TEST_F(ParetoTest, SweepReportDoesNotDependOnTheSimulationMemo) {
   EXPECT_EQ(to_json(warm).write(), to_json(cold).write());
 }
 
-TEST_F(ParetoTest, ExploreOverloadSortsTheFrontierLikeExplore) {
-  const SystemParams sys;
-  FunnelSpec spec = small_spec();
-  spec.simulate = false;
-  const std::vector<core::DseResult> designs =
-      core::explore(sys, spec, core::OptTarget::Efficiency);
-  ASSERT_FALSE(designs.empty());
-  for (std::size_t i = 1; i < designs.size(); ++i) {
-    if (designs[i - 1].feasible == designs[i].feasible)
-      EXPECT_GE(designs[i - 1].efficiency, designs[i].efficiency) << "position " << i;
-    else
-      EXPECT_TRUE(designs[i - 1].feasible) << "infeasible sorted above feasible at " << i;
-  }
-}
-
 // --- Screen fidelity ------------------------------------------------------
 
 // A frontier point's system metrics recomputed from its design record by

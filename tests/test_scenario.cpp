@@ -146,8 +146,11 @@ TEST(Scenario, DigitalLdoTopologyReachesEndToEnd) {
   EXPECT_EQ(r.design.topology, core::IvrTopology::DigitalLdo);
   EXPECT_TRUE(r.design.feasible);
   // A linear pass device cannot beat vout/vin.
-  for (const StateEval& c : r.cells)
-    if (!c.gated) EXPECT_LE(c.efficiency, c.v_v / sys.vin_v + 1e-12);
+  for (const StateEval& c : r.cells) {
+    if (!c.gated) {
+      EXPECT_LE(c.efficiency, c.v_v / sys.vin_v + 1e-12);
+    }
+  }
 }
 
 /// The race-to-halt preset over hybrid delivery: an IVR core domain next to

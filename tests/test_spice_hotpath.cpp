@@ -16,6 +16,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "core/buck_model.hpp"
 #include "pdn/pdn.hpp"
 #include "spice/parser.hpp"
 #include "spice/spice.hpp"
@@ -328,19 +329,18 @@ std::uint64_t waveform_digest(const TranResult& r) {
 // bench_transient_hotpath's buck scenarios run): complementary high/low
 // switches into L + DCR + output cap, DC load. 6 unknowns.
 Circuit buck_stage() {
+  core::BuckStage stage;
+  stage.vin_v = 1.8;
+  stage.f_sw_hz = 100e6;
+  stage.duty = 0.55;
+  stage.r_high_ohm = stage.r_low_ohm = 5e-3;
+  stage.l_h = 4e-9;
+  stage.r_dcr_ohm = 1e-3;
+  stage.c_out_f = 150e-9;
+  stage.vout_ic_v = 1.0;
+  stage.i_load_a = 1.0;
   Circuit c;
-  const NodeId vin = c.node("vin");
-  const NodeId sw = c.node("sw");
-  const NodeId lx = c.node("lx");
-  const NodeId out = c.node("out");
-  c.add_vsource("v1", vin, kGround, Waveform::dc(1.8));
-  const PhaseClock clk(100e6, 1, 0.55);
-  c.add_switch("s_hs", vin, sw, 5e-3, 1e8, clk.phase(0));
-  c.add_switch("s_ls", sw, kGround, 5e-3, 1e8, clk.phase(0, /*inverted=*/true));
-  c.add_inductor_ic("l1", sw, lx, 4e-9, 1.0);
-  c.add_resistor("r_dcr", lx, out, 1e-3);
-  c.add_capacitor_ic("cout", out, kGround, 150e-9, 1.0);
-  c.add_isource("iload", out, kGround, Waveform::dc(1.0));
+  core::build_buck_netlist(c, stage);
   return c;
 }
 

@@ -37,6 +37,7 @@
 #include "common/table.hpp"
 #include "common/trace.hpp"
 #include "core/ivory.hpp"
+#include "core/report_json.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/batch.hpp"
 #include "serve/server.hpp"
@@ -368,25 +369,8 @@ int cmd_scenario(json::Value& body) {
 
 int cmd_pds(json::Value& body) {
   const serve::PdsParams p = serve::pds_params(body);
-  const pdn::PdnParams pdn_params = pdn::PdnParams::gpuvolt_default();
-  const core::DseResult ivr =
-      core::optimize_topology(p.sys, core::IvrTopology::SwitchedCapacitor, p.n_distributed);
-  require(ivr.feasible, "no feasible IVR design for these constraints");
-  // Quarantined evaluations: a failing composition prints its diagnostics
-  // (code, site, candidate) instead of aborting with a bare what() string.
-  const EvalOutcome<core::PdsBreakdown> off_out =
-      core::try_evaluate_pds_offchip(p.sys, pdn_params, p.v_nom_v, p.guard_off_v);
-  const EvalOutcome<core::PdsBreakdown> on_out =
-      core::try_evaluate_pds_ivr(p.sys, pdn_params, ivr, p.v_nom_v, p.guard_ivr_v);
-  if (!off_out.ok() || !on_out.ok()) {
-    if (!off_out.ok())
-      std::fprintf(stderr, "pds: %s\n", off_out.diagnostics().to_string().c_str());
-    if (!on_out.ok())
-      std::fprintf(stderr, "pds: %s\n", on_out.diagnostics().to_string().c_str());
-    return 1;
-  }
-  const core::PdsBreakdown& off = off_out.value();
-  const core::PdsBreakdown& on = on_out.value();
+  const core::PdsComparison c =
+      core::compare_pds(p.sys, p.n_distributed, p.v_nom_v, p.guard_off_v, p.guard_ivr_v);
 
   TextTable t({"PDS", "guardband", "grid IR", "PDN IR", "IVR loss", "VRM loss", "total (W)",
                "eff (%)"});
@@ -396,10 +380,10 @@ int cmd_pds(json::Value& body) {
                TextTable::num(b.p_vrm_loss_w, 3), TextTable::num(b.p_total_w, 4),
                TextTable::num(b.efficiency * 100, 3)});
   };
-  row("off-chip VRM", p.guard_off_v, off);
-  row(("IVR x" + std::to_string(p.n_distributed)).c_str(), p.guard_ivr_v, on);
+  row("off-chip VRM", p.guard_off_v, c.offchip);
+  row(("IVR x" + std::to_string(p.n_distributed)).c_str(), p.guard_ivr_v, c.on_ivr);
   std::printf("%s", t.render().c_str());
-  std::printf("improvement: %.1f points\n", (on.efficiency - off.efficiency) * 100.0);
+  std::printf("improvement: %.1f points\n", c.improvement_points);
   return 0;
 }
 
@@ -441,13 +425,10 @@ int cmd_transient(json::Value& body) {
         },
         nullptr, 0.0, std::chrono::steady_clock::now());
     if (chunk_bytes > 0) em.set_chunk_bytes(static_cast<std::size_t>(chunk_bytes));
-    serve::Wave1TransientStream ws(em, "null", sp.names);
-    sp.spec.sample_sink = ws.sink();
-    const spice::TranResult res = spice::transient(sp.ckt, sp.spec);
-    ws.finish(res);
+    const std::size_t rows = serve::stream_spice(sp, "null", em);
     std::fflush(stdout);
     std::fprintf(stderr, "ivory transient: streamed %llu rows in %llu chunks (wave1)\n",
-                 static_cast<unsigned long long>(ws.rows()),
+                 static_cast<unsigned long long>(rows),
                  static_cast<unsigned long long>(em.chunks_emitted()));
     return 0;
   }
@@ -456,16 +437,9 @@ int cmd_transient(json::Value& body) {
 
   TextTable t({"node", "final (V)", "mean (V)", "min (V)", "max (V)"});
   for (std::size_t i = 0; i < res.nodes.size(); ++i) {
-    const std::vector<double>& v = res.voltages[i];
-    double lo = v.front(), hi = lo, sum = 0.0;
-    for (double s : v) {
-      lo = std::min(lo, s);
-      hi = std::max(hi, s);
-      sum += s;
-    }
-    t.add_row({sp.ckt.node_name(res.nodes[i]), TextTable::num(v.back(), 5),
-               TextTable::num(sum / static_cast<double>(v.size()), 5), TextTable::num(lo, 5),
-               TextTable::num(hi, 5)});
+    const core::NodeStats s = core::NodeStats::of(res.voltages[i]);
+    t.add_row({sp.ckt.node_name(res.nodes[i]), TextTable::num(s.final_v(), 5),
+               TextTable::num(s.mean_v(), 5), TextTable::num(s.lo, 5), TextTable::num(s.hi, 5)});
   }
   std::printf("%s", t.render().c_str());
 
